@@ -59,7 +59,7 @@ from repro.analysis.solver import (
     FactorizationCache,
     FactorizedOperator,
     factorize,
-    solve_once,
+    solve_stack,
 )
 from repro.analysis.transient import TransientResult, transient
 from repro.analysis import api
@@ -70,18 +70,6 @@ from repro.analysis.api import (
     NoiseSpec,
     TranSpec,
 )
-from repro.analysis import batch
-from repro.analysis.batch import (
-    BatchTopologyError,
-    StampPlan,
-    batched_ac,
-    batched_dc,
-    batched_noise,
-    batched_transient,
-    run_batch,
-    topology_signature,
-)
-from repro.analysis.mna import BatchSingularError, solve_dense_batched
 
 __all__ = [
     "AcResult",
@@ -91,17 +79,6 @@ __all__ = [
     "NoiseSpec",
     "TranSpec",
     "api",
-    "batch",
-    "BatchSingularError",
-    "BatchTopologyError",
-    "StampPlan",
-    "batched_ac",
-    "batched_dc",
-    "batched_noise",
-    "batched_transient",
-    "run_batch",
-    "solve_dense_batched",
-    "topology_signature",
     "StepResponse",
     "MismatchSigma",
     "OffsetStatistics",
@@ -124,7 +101,7 @@ __all__ = [
     "FactorizationCache",
     "FactorizedOperator",
     "factorize",
-    "solve_once",
+    "solve_stack",
     "solver",
     "MnaSystem",
     "MosOperatingPoint",

@@ -2,8 +2,9 @@
 
 Linearizes the circuit at a DC operating point (MOSFETs become
 gm/gds/gmb + Meyer capacitances, diodes become gd + junction cap) and
-solves ``(G + jωC)x = b_ac`` over a frequency sweep.  The same linearized
-matrices feed the AWE engine (:mod:`repro.awe`) and the noise analysis.
+solves ``(G + jωC)x = b_ac`` over a frequency sweep — every frequency of
+the sweep in one stacked solve.  The same linearized matrices feed the
+AWE engine (:mod:`repro.awe`) and the noise analysis.
 """
 
 from __future__ import annotations
@@ -19,7 +20,12 @@ from repro.analysis.mna import (
     SingularCircuitError,
     mos_capacitances,
 )
-from repro.analysis.solver import FactorizationCache, FactorizedOperator
+from repro.analysis.solver import (
+    SPARSE_SIZE_THRESHOLD,
+    FactorizationCache,
+    FactorizedOperator,
+    solve_stack,
+)
 from repro.circuits.devices import THERMAL_VOLTAGE, Diode, Mosfet
 from repro.circuits.netlist import Circuit
 
@@ -28,11 +34,13 @@ from repro.circuits.netlist import Circuit
 class SmallSignalSystem:
     """Linearized MNA matrices at one operating point.
 
-    Holds a per-system :class:`~repro.analysis.solver.FactorizationCache`
-    keyed by frequency: the first solve at a frequency LU-factorizes
-    ``G + jωC`` once, and every later solve at that frequency — the AC
-    response, the noise adjoint, every injection transfer, the
-    sensitivity adjoint — reuses the same factorization.
+    Sweeps (:meth:`sweep`) solve all their frequencies in one
+    :func:`~repro.analysis.solver.solve_stack` call.  Per-frequency
+    work — :meth:`factorized_at` / :meth:`solve_at`, the sensitivity
+    adjoint, and sweeps of systems too large to stack — goes through a
+    per-system :class:`~repro.analysis.solver.FactorizationCache` keyed
+    by frequency, so every solve at one frequency reuses a single
+    factorization of ``G + jωC``.
     """
 
     system: MnaSystem
@@ -55,26 +63,29 @@ class SmallSignalSystem:
     def solve_at(self, freq_hz: float) -> np.ndarray:
         return self.factorized_at(freq_hz).solve(self.b_ac)
 
-    def transfer_from_current(self, inject_plus: str, inject_minus: str,
-                              out: str, freq_hz: float) -> complex:
-        """V(out) per unit AC current injected between two nets.
+    def sweep(self, freqs: np.ndarray, b: np.ndarray,
+              adjoint: bool = False) -> np.ndarray:
+        """``(F, n)`` solutions of ``(G + jωC) x = b`` at every frequency.
 
-        Used by the noise analysis; solves the adjoint system through
-        the per-frequency factorization cache, so all injection
-        transfers at one frequency genuinely share a single
-        factorization (the seed code claimed this but re-built and
-        re-factored ``G + sC`` on every call).
+        ``adjoint=True`` solves the conjugate-transpose system instead
+        (the noise adjoint).  All frequencies go to one stacked solve,
+        except for systems of at least ``SPARSE_SIZE_THRESHOLD`` unknowns
+        — the size at which :func:`~repro.analysis.solver.factorize`
+        considers sparse LU — which factor per frequency through the
+        cache.
         """
-        e = np.zeros(self.system.size, dtype=complex)
-        iout = self.node(out)
-        if iout < 0:
-            return 0.0 + 0.0j
-        e[iout] = 1.0
-        z = self.factorized_at(freq_hz).solve_transpose(e)
-        ip, im = self.node(inject_plus), self.node(inject_minus)
-        zp = z[ip] if ip >= 0 else 0.0
-        zm = z[im] if im >= 0 else 0.0
-        return complex(zp - zm)
+        freqs = np.asarray(freqs, dtype=float)
+        if self.system.size >= SPARSE_SIZE_THRESHOLD:
+            x = np.empty((len(freqs), self.system.size), dtype=complex)
+            for k, f in enumerate(freqs):
+                op = self.factorized_at(f)
+                x[k] = op.solve_adjoint(b) if adjoint else op.solve(b)
+            return x
+        s = 2j * math.pi * freqs
+        A = self.G + s[:, None, None] * self.C
+        if adjoint:
+            A = np.conj(np.swapaxes(A, 1, 2))
+        return solve_stack(A, b)
 
 
 def small_signal_system(circuit: Circuit,
@@ -184,11 +195,7 @@ def _ac_analysis_impl(circuit: Circuit, freqs: np.ndarray,
     freqs = np.asarray(freqs, dtype=float)
     if ss is None:
         ss = small_signal_system(circuit, op)
-    n_nodes = len(ss.system.node_names)
-    data = np.zeros((len(freqs), n_nodes), dtype=complex)
-    for k, f in enumerate(freqs):
-        x = ss.solve_at(f)
-        data[k, :] = x[:n_nodes]
+    data = ss.sweep(freqs, ss.b_ac)
     phasors = {
         net: data[:, i] for net, i in ss.system.node_index.items()
     }

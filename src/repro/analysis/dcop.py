@@ -140,8 +140,8 @@ def _newton(system: MnaSystem, G_lin: np.ndarray, b: np.ndarray,
     Routes every solve through :mod:`repro.analysis.solver`.  For a
     purely linear circuit the Jacobian never changes, so the LU
     factorization is computed once and reused by every iteration;
-    nonlinear circuits re-stamp and re-factor per iteration as Newton
-    requires.
+    nonlinear circuits re-stamp per iteration as Newton requires and
+    solve each step once with :func:`~repro.analysis.solver.solve_stack`.
     """
     x = x0.copy()
     n_nodes = len(system.node_names)
@@ -162,7 +162,7 @@ def _newton(system: MnaSystem, G_lin: np.ndarray, b: np.ndarray,
                 if gmin_extra:
                     A[:n_nodes, :n_nodes] += np.eye(n_nodes) * gmin_extra
                 system.stamp_nonlinear(x, A, rhs)
-                x_new = _solver.solve_once(A, rhs)
+                x_new = _solver.solve_stack(A[None], rhs)[0]
         except SingularCircuitError:
             return x, it, False
         delta = x_new - x

@@ -239,15 +239,17 @@ class MnaSystem:
         solution vector of length ``size`` and one ``(size, size)``
         matrix.  Stacked ``(K, ...)`` batch tensors are rejected —
         the per-device stamping below indexes scalars and would silently
-        produce garbage on a batch axis; batched evaluation goes through
-        :mod:`repro.analysis.batch` instead.
+        produce garbage on a batch axis; batched evaluation stamps each
+        member on its own and stacks only the assembled matrices for
+        :func:`repro.analysis.solver.solve_stack`.
         """
         x = np.asarray(x)
         if x.ndim != 1 or x.shape[0] != self.size:
             raise ValueError(
                 f"stamp_nonlinear expects a 1-D solution vector of length "
-                f"{self.size}, got shape {x.shape}; stacked (K, n) batch "
-                f"tensors belong in repro.analysis.batch, not here")
+                f"{self.size}, got shape {x.shape}; stamp one member at a "
+                f"time and stack the assembled systems for "
+                f"repro.analysis.solver.solve_stack")
         if not np.issubdtype(x.dtype, np.floating):
             raise TypeError(
                 f"stamp_nonlinear expects a real float solution vector, "
@@ -255,8 +257,9 @@ class MnaSystem:
         if np.asarray(G).shape != (self.size, self.size):
             raise ValueError(
                 f"stamp_nonlinear expects a ({self.size}, {self.size}) "
-                f"Jacobian, got shape {np.asarray(G).shape}; stacked "
-                f"(K, n, n) batch tensors belong in repro.analysis.batch")
+                f"Jacobian, got shape {np.asarray(G).shape}; stamp one "
+                f"member at a time and stack the assembled systems for "
+                f"repro.analysis.solver.solve_stack")
         gmin = self.gmin if gmin is None else gmin
         for dev in self.nonlinear:
             if isinstance(dev, Mosfet):
@@ -425,14 +428,16 @@ def mos_capacitances(dev: Mosfet, region: str) -> tuple[float, float, float]:
     Scalar-only: ``dev.w``/``dev.l`` must be plain floats.  A device
     carrying batched parameter arrays would silently produce array-valued
     capacitances that downstream stamping cannot index, so it is rejected
-    here; batched evaluation keeps per-member scalar devices and stacks
-    the assembled matrices instead (:mod:`repro.analysis.batch`).
+    here; batched evaluation builds one circuit per member and runs each
+    through the scalar path
+    (:class:`repro.synthesis.simulation_based.BatchEvaluator`).
     """
     if np.ndim(dev.w) != 0 or np.ndim(dev.l) != 0 or np.ndim(dev.m) != 0:
         raise TypeError(
             f"mos_capacitances({dev.name!r}) expects scalar W/L/m, got "
             f"shapes {np.shape(dev.w)}/{np.shape(dev.l)}/{np.shape(dev.m)}; "
-            f"batched parameter arrays belong in repro.analysis.batch")
+            f"build one circuit per sizing (BatchEvaluator runs each "
+            f"member through the scalar path)")
     if region not in ("saturation", "triode", "cutoff"):
         raise ValueError(
             f"mos_capacitances({dev.name!r}): unknown operating region "
@@ -445,111 +450,3 @@ def mos_capacitances(dev: Mosfet, region: str) -> tuple[float, float, float]:
     if region == "triode":
         return 0.5 * cox_total + cov, 0.5 * cox_total + cov, 0.0
     return cov, cov, cox_total  # cutoff: gate sees bulk
-
-
-def solve_dense(A: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """LU solve with a singularity guard and a helpful error message.
-
-    Every failure mode is normalized onto :class:`SingularCircuitError`:
-    LAPACK's ``LinAlgError`` (singular pivot), non-finite matrix entries
-    (a zero-valued resistor stamps an infinite conductance and LAPACK
-    returns NaNs instead of raising), and non-finite solutions.  Stacked
-    ``(K, n, n)`` inputs are rejected — ``np.linalg.solve`` would happily
-    broadcast them and return a tensor where callers expect a vector; the
-    batched path is :func:`solve_dense_batched`, which also reports
-    *which* member failed.
-    """
-    A = np.asarray(A)
-    if A.ndim != 2:
-        raise ValueError(
-            f"solve_dense expects one (n, n) system, got shape {A.shape}; "
-            f"use solve_dense_batched for stacked (K, n, n) batches")
-    if not np.all(np.isfinite(A)):
-        raise SingularCircuitError(
-            "MNA matrix contains non-finite entries — check for "
-            "zero-valued resistors or capacitors")
-    try:
-        x = np.linalg.solve(A, b)
-    except np.linalg.LinAlgError as exc:
-        raise SingularCircuitError(
-            "MNA matrix is singular — check for floating nodes or "
-            "voltage-source loops") from exc
-    if not np.all(np.isfinite(x)):
-        raise SingularCircuitError("MNA solution contains non-finite values")
-    return x
-
-
-class BatchSingularError(SingularCircuitError):
-    """Singular member(s) inside a stacked batch solve.
-
-    ``members`` holds the 0-based stack indices of every offending
-    system, so a batched evaluator can drop exactly those candidates to
-    the scalar fallback path and keep the rest vectorized.
-    """
-
-    def __init__(self, message: str, members: tuple[int, ...] = ()):
-        super().__init__(message)
-        self.members = tuple(int(m) for m in members)
-
-
-def solve_dense_batched(A: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve ``K`` stacked dense systems ``A[k] @ x[k] = b[k]`` at once.
-
-    ``A`` is ``(K, n, n)``; ``b`` is ``(K, n)`` or a single ``(n,)``
-    right-hand side shared by every member.  Returns the ``(K, n)``
-    solution stack.  One LAPACK call covers the whole batch; on failure
-    the members are probed individually and a :class:`BatchSingularError`
-    names every singular (or non-finite) member so callers can fall back
-    per-point instead of discarding the batch.
-    """
-    A = np.asarray(A)
-    if A.ndim != 3 or A.shape[-1] != A.shape[-2]:
-        raise ValueError(
-            f"solve_dense_batched expects a (K, n, n) stack, got shape "
-            f"{A.shape}; use solve_dense for a single system")
-    b = np.asarray(b)
-    if b.ndim == 1:
-        b = np.broadcast_to(b, (A.shape[0], b.shape[0]))
-    if b.shape != A.shape[:2]:
-        raise ValueError(
-            f"solve_dense_batched: rhs shape {b.shape} does not match "
-            f"matrix stack {A.shape} (expected {A.shape[:2]})")
-    finite_in = np.all(np.isfinite(A), axis=(1, 2))
-    if not np.all(finite_in):
-        bad = tuple(int(k) for k in np.nonzero(~finite_in)[0])
-        raise BatchSingularError(
-            f"batch members {list(bad)} have non-finite MNA entries — "
-            f"check for zero-valued resistors or capacitors", bad)
-    try:
-        # NumPy >= 2.0 treats a 2-D rhs as a broadcast *matrix*; the
-        # explicit column dimension keeps it a stack of vectors.
-        x = np.linalg.solve(A, b[..., None])[..., 0]
-    except np.linalg.LinAlgError as exc:
-        bad = _singular_members(A, b)
-        raise BatchSingularError(
-            f"batch members {list(bad)} are singular — check for floating "
-            f"nodes or voltage-source loops", bad) from exc
-    finite = np.all(np.isfinite(x), axis=1)
-    if not np.all(finite):
-        bad = tuple(int(k) for k in np.nonzero(~finite)[0])
-        raise BatchSingularError(
-            f"batch members {list(bad)} produced non-finite solutions", bad)
-    return x
-
-
-def _singular_members(A: np.ndarray, b: np.ndarray) -> tuple[int, ...]:
-    """Probe each stack member on its own to attribute a batched failure."""
-    bad = []
-    for k in range(A.shape[0]):
-        try:
-            xk = np.linalg.solve(A[k], b[k])
-        except np.linalg.LinAlgError:
-            bad.append(k)
-            continue
-        if not np.all(np.isfinite(xk)):
-            bad.append(k)
-    if not bad:
-        # LAPACK refused the stack but no member reproduces it alone;
-        # blame every member rather than mask the failure.
-        bad = list(range(A.shape[0]))
-    return tuple(bad)

@@ -10,7 +10,8 @@ injected across its terminals:
 Transfers from every injection point to the output are obtained from one
 adjoint solve per frequency, so the cost is independent of the number of
 noise sources — the same trick the sensitivity-driven layout tools of the
-tutorial rely on.
+tutorial rely on.  The adjoint solves of the whole sweep run as one
+stacked solve, and so do the gain solves.
 """
 
 from __future__ import annotations
@@ -92,35 +93,23 @@ def _noise_analysis_impl(circuit: Circuit, out: str, freqs: np.ndarray,
         raise ValueError("noise output cannot be the ground net")
 
     injections = _noise_injections(ss)
-    psd_per = {key: np.zeros(len(freqs)) for key in injections}
-    gain = np.zeros(len(freqs))
     has_input = bool(np.any(np.abs(ss.b_ac) > 0))
 
     e = np.zeros(system.size, dtype=complex)
     e[iout] = 1.0
-    for k, f in enumerate(freqs):
-        # One factorization of G + jωC per frequency serves the adjoint
-        # solve (all injections at once) and the gain solve — and is
-        # shared with any AC sweep over the same SmallSignalSystem.
-        op = ss.factorized_at(f)
-        z = op.solve_adjoint(e)  # adjoint solution
-        for key, (a, b, psd_fn) in injections.items():
-            za = z[a] if a >= 0 else 0.0
-            zb = z[b] if b >= 0 else 0.0
-            h2 = abs(np.conj(za - zb)) ** 2
-            psd_per[key][k] = h2 * psd_fn(f)
-        if has_input:
-            x = op.solve(ss.b_ac)
-            gain[k] = abs(x[iout])
-
-    contributions = [
-        NoiseContribution(device=key[0], kind=key[1], psd=psd_per[key])
-        for key in injections
-    ]
+    # One adjoint solve per frequency covers every injection at once.
+    z = ss.sweep(freqs, e, adjoint=True)
+    contributions = []
+    for (device, kind), (a, b, psd_fn) in injections.items():
+        za = z[:, a] if a >= 0 else 0.0
+        zb = z[:, b] if b >= 0 else 0.0
+        psd = np.abs(za - zb) ** 2 * psd_fn(freqs)
+        contributions.append(
+            NoiseContribution(device=device, kind=kind, psd=psd))
+    gain = np.abs(ss.sweep(freqs, ss.b_ac)[:, iout]) if has_input else None
     total = np.sum([c.psd for c in contributions], axis=0) if contributions \
         else np.zeros(len(freqs))
-    return NoiseResult(freqs, total, contributions,
-                       gain=gain if has_input else None)
+    return NoiseResult(freqs, total, contributions, gain=gain)
 
 
 def _noise_injections(ss: SmallSignalSystem):
@@ -149,11 +138,11 @@ def _noise_injections(ss: SmallSignalSystem):
 
 
 def _const_psd(value: float):
-    return lambda f: value
+    return lambda f: np.full(np.shape(f), value)
 
 
 def _flicker_psd(scale: float):
-    return lambda f: scale / max(f, 1e-3)
+    return lambda f: scale / np.maximum(f, 1e-3)
 
 
 def equivalent_noise_charge(result: NoiseResult, gain_v_per_coulomb: float,

@@ -102,8 +102,8 @@ def ac_adjoint_sensitivities(ss: SmallSignalSystem, out: str,
     if iout < 0:
         raise ValueError("output cannot be ground")
     s = 2j * math.pi * freq_hz
-    # One factorization (shared with AC/noise sweeps at this frequency)
-    # serves both the forward and the adjoint solve.
+    # One factorization of G + jωC serves both the forward and the
+    # adjoint solve.
     op = ss.factorized_at(freq_hz)
     x = op.solve(ss.b_ac)
     e = np.zeros(system.size, dtype=complex)

@@ -1,36 +1,42 @@
-"""Shared factor-once/solve-many linear-solver layer.
+"""Shared linear-solver layer: one-shot stacked solves, factor-once reuse.
 
 Every frontend tool the tutorial surveys reduces to thousands of calls
 into the circuit evaluator, and the backend RAIL claim hinges on solving
-power grids far larger than cell-level MNA.  Both workloads share one
-algebraic shape: the *same* matrix is solved against many right-hand
-sides — an AC matrix ``G + jωC`` serves the response and every
-noise-injection adjoint transfer at that frequency, a transient matrix
-``G + C/h`` serves every Newton iteration and timestep of a linear
-circuit, the AWE moment recursion reuses one factorization of ``G``, and
-a power grid's conductance matrix serves the IR-drop, EM and droop-bound
-metrics.  Re-factoring per solve (what the seed code did, dense
-``np.linalg.solve`` everywhere) pays the O(n³) cost each time; this
-module pays it once.
+power grids far larger than cell-level MNA.  Two algebraic shapes cover
+all of them, and this module has one routine for each:
 
-Two pieces:
-
+* :func:`solve_stack` — one-shot dense solves.  An AC or noise sweep
+  solves ``G + jωC`` at every frequency of the sweep, and a nonlinear
+  Newton step solves its freshly stamped Jacobian once; both hand an
+  ``(M, n, n)`` stack to a single ``np.linalg.solve`` call (``M = 1``
+  for a Newton step).  NumPy solves each member with its own LAPACK
+  ``gesv``, so a member's solution does not depend on the rest of the
+  stack, and every one-shot MNA solve in the simulator — scalar or
+  batched evaluation alike — goes through this one routine.
 * :class:`FactorizedOperator` — one LU factorization of ``A`` serving
   repeated forward (``A x = b``), transpose (``Aᵀ x = b``) and adjoint
-  (``Aᴴ x = b``) solves.  Dense (``scipy.linalg.lu_factor``) or sparse
-  (``scipy.sparse.linalg.splu`` on CSC) storage is auto-selected by
-  matrix size and density — cell-level MNA stays dense, power grids go
-  sparse — or forced with ``prefer_sparse``.
-* :class:`FactorizationCache` — a keyed LRU of operators with local
-  hit/miss counters, so sweeps that revisit a matrix (AC then noise at
-  the same frequencies, repeated timesteps at one ``h``) skip even the
-  single factorization.
+  (``Aᴴ x = b``) solves, for matrices that really are solved many times:
+  a transient matrix ``G + C/h`` serves every Newton iteration and
+  timestep of a linear circuit, linear DC Newton reuses one Jacobian,
+  the AWE moment recursion reuses one factorization of ``G``, adjoint
+  sensitivities share one factorization between the forward and the
+  adjoint solve, and a power grid's conductance matrix serves the
+  IR-drop, EM and droop-bound metrics.  Dense
+  (``scipy.linalg.lu_factor``) or sparse (``scipy.sparse.linalg.splu``
+  on CSC) storage is auto-selected by matrix size and density —
+  cell-level MNA stays dense, power grids go sparse — or forced with
+  ``prefer_sparse``.  :class:`FactorizationCache` is a keyed LRU of
+  operators with local hit/miss counters, so sweeps that revisit a
+  matrix skip even the single factorization; sweeps over systems of at
+  least ``SPARSE_SIZE_THRESHOLD`` unknowns factor per frequency through
+  it instead of stacking.
 
 Telemetry: every factorization, solve and cache lookup is counted on the
 active tracer (``solver.factorizations``, ``solver.factor_dense`` /
 ``solver.factor_sparse``, ``solver.solves``, ``solver.cache_hits`` /
 ``solver.cache_misses``), which is how the counters reach
-``engine.report()['solver']`` and the run-manifest rollups.  Counting
+``engine.report()['solver']`` and the run-manifest rollups.  A stacked
+solve counts one dense factorization and one solve per member.  Counting
 goes through :func:`repro.engine.trace.current_tracer` exactly like the
 ``analysis.*`` counters, so it is suspended during executor dispatch and
 serial and parallel runs attribute identically.
@@ -178,10 +184,49 @@ def factorize(A: Any, prefer_sparse: bool | None = None) -> FactorizedOperator:
     return FactorizedOperator((lu, piv), "dense", n, M.dtype)
 
 
-def solve_once(A: Any, b: np.ndarray,
-               prefer_sparse: bool | None = None) -> np.ndarray:
-    """One-shot ``factorize(A).solve(b)`` with the layer's counting."""
-    return factorize(A, prefer_sparse=prefer_sparse).solve(b)
+def solve_stack(A: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve ``A[m] x[m] = b[m]`` for every member of a dense stack.
+
+    ``A`` is ``(M, n, n)``; ``b`` is ``(M, n)`` or one ``(n,)``
+    right-hand side shared by every member.  Returns the ``(M, n)``
+    solutions from a single ``np.linalg.solve`` call.  Every failure
+    mode becomes :class:`~repro.analysis.mna.SingularCircuitError`:
+    non-finite matrix entries (a zero-valued resistor stamps an infinite
+    conductance, and LAPACK returns NaNs instead of raising), LAPACK's
+    ``LinAlgError`` (an exactly singular pivot) and non-finite solutions.
+    """
+    A = np.asarray(A)
+    if A.ndim != 3 or A.shape[1] != A.shape[2]:
+        raise ValueError(
+            f"solve_stack expects an (M, n, n) matrix stack, got shape "
+            f"{A.shape}; pass one system as A[None]")
+    b = np.asarray(b)
+    if b.shape == A.shape[1:2]:
+        b = np.broadcast_to(b, A.shape[:2])
+    if b.shape != A.shape[:2]:
+        raise ValueError(
+            f"solve_stack: rhs shape {b.shape} does not match matrix "
+            f"stack {A.shape} (expected {A.shape[:2]} or "
+            f"({A.shape[1]},))")
+    members = A.shape[0]
+    _count("solver.factorizations", members)
+    _count("solver.factor_dense", members)
+    _count("solver.solves", members)
+    if not np.all(np.isfinite(A)):
+        raise SingularCircuitError(
+            "MNA matrix contains non-finite entries — check for "
+            "zero-valued resistors or capacitors")
+    try:
+        # NumPy >= 2.0 reads a 2-D rhs as a stack of matrices; the
+        # explicit column axis keeps it a stack of vectors.
+        x = np.linalg.solve(A, b[..., None])[..., 0]
+    except np.linalg.LinAlgError as exc:
+        raise SingularCircuitError(
+            "MNA matrix is singular — check for floating nodes or "
+            "voltage-source loops") from exc
+    if not np.all(np.isfinite(x)):
+        raise SingularCircuitError("MNA solution contains non-finite values")
+    return x
 
 
 class FactorizationCache:
@@ -246,5 +291,5 @@ __all__ = [
     "SPARSE_DENSITY_THRESHOLD",
     "SPARSE_SIZE_THRESHOLD",
     "factorize",
-    "solve_once",
+    "solve_stack",
 ]

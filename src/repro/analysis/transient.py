@@ -18,8 +18,8 @@ from repro.analysis.dcop import (
     _converged,
     dc_operating_point,
 )
-from repro.analysis.mna import MnaSystem, SingularCircuitError, solve_dense
-from repro.analysis.solver import FactorizationCache
+from repro.analysis.mna import MnaSystem, SingularCircuitError
+from repro.analysis.solver import FactorizationCache, solve_stack
 from repro.circuits.devices import CurrentSource, VoltageSource
 from repro.circuits.netlist import Circuit
 from repro.engine.trace import current_tracer
@@ -216,7 +216,7 @@ def _step(system: MnaSystem, G: np.ndarray, C: np.ndarray, sources,
             else:
                 A = G + mat_c
                 system.stamp_nonlinear(x, A, rhs)
-                x_new = solve_dense(A, rhs)
+                x_new = solve_stack(A[None], rhs)[0]
         except SingularCircuitError:
             return False, x
         delta = x_new - x

@@ -297,11 +297,12 @@ class EngineConfig:
         screen candidate batches through a cache-trained surrogate
         (:mod:`repro.surrogate`) instead of simulating everything.
     batch_kernel:
-        ``True`` routes same-topology cache misses through the
-        symbolic-once/evaluate-many kernels of
-        :mod:`repro.analysis.batch` (stacked MNA assembly + batched
-        dense LU) instead of per-point dispatch, with automatic scalar
-        fallback for anything the kernel declines.  Consumed by
+        ``True`` routes cache misses through
+        :class:`repro.synthesis.simulation_based.BatchEvaluator`, which
+        evaluates them parent-side through the same per-point code as
+        the scalar path instead of per-point executor dispatch, with a
+        scalar re-run for every member that fails.  Results are
+        bit-identical either way.  Consumed by
         :class:`repro.synthesis.SimulationBasedSizer` and reflected in
         the ``kernel.*`` counters of ``engine.report()``.
     """

@@ -42,7 +42,7 @@ from repro.engine.telemetry import Telemetry
 from repro.engine.trace import Tracer
 
 #: Sentinel a batcher returns in result position for a member it could not
-#: evaluate vectorized (nonlinear outlier, singular system, build failure).
+#: evaluate (non-convergent or singular system, build failure).
 #: The engine routes exactly those members through the normal executor
 #: dispatch path, so their results — including failure semantics, retries
 #: and fault injection — are identical to an unbatched run.
@@ -147,13 +147,13 @@ class EvaluationEngine:
         evaluations that is the serialized netlist plus analysis
         parameters (see :func:`repro.engine.cache.canonical_key`).
 
-        ``batcher`` (optional) routes cache misses through a vectorized
-        kernel before the executor sees them.  The protocol is three
+        ``batcher`` (optional) routes cache misses through a group
+        evaluator before the executor sees them.  The protocol is three
         members: ``group(points) -> list[list[int]]`` partitions points
-        into same-topology groups (index lists), ``evaluate(points) ->
-        list`` computes one group vectorized (returning
-        :data:`BATCH_FALLBACK` in any slot it cannot handle), and
-        ``min_batch`` is the smallest group worth vectorizing.  Groups
+        into groups (index lists), ``evaluate(points) -> list`` computes
+        one group (returning :data:`BATCH_FALLBACK` in any slot it
+        cannot handle), and ``min_batch`` is the smallest group worth
+        evaluating together.  Groups
         run parent-side under a suspended tracer — exactly like executor
         dispatch — so span counter attribution stays identical across
         executors; everything the batcher declines falls through to one
@@ -251,7 +251,7 @@ class EvaluationEngine:
 
     def _evaluate_with_batcher(self, fn: Callable[[Any], Any], points: list,
                                batcher: Any, hits: int = 0) -> list:
-        """Vectorized evaluation of one miss set, scalar fallback for the rest.
+        """Batcher evaluation of one miss set, scalar fallback for the rest.
 
         Deterministic by construction: groups are evaluated parent-side in
         the order the batcher returns them (identical under serial and
@@ -378,9 +378,8 @@ class EvaluationEngine:
         adds ``surrogate``: the rollup of the surrogate screening layer's
         ``surrogate.*`` counters and fit/predict latency samples
         (:mod:`repro.surrogate`).  Schema v6 adds ``kernel``: the rollup
-        of the batched-evaluation kernel's ``kernel.*`` counters and
-        per-group latency samples (:mod:`repro.analysis.batch` + the
-        ``batcher=`` path of :meth:`map_evaluate`).  Schema v7 adds
+        of the ``kernel.*`` counters and per-group latency samples of
+        the ``batcher=`` path of :meth:`map_evaluate`.  Schema v7 adds
         ``serve.shards``: the per-shard outcome breakdown a
         :class:`repro.serve.ShardRouter` fleet report carries — ``[]``
         here, since one engine is by definition one (unsharded) worker.

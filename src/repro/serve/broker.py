@@ -74,12 +74,12 @@ class Workload:
     evaluation.  Two requests are batchable iff they name the same
     workload, which is what guarantees one ``fn`` per engine batch.
 
-    ``batcher`` (optional) is a vectorized kernel implementing the
-    three-member batcher protocol of ``map_evaluate`` (for circuit
-    workloads, :class:`repro.synthesis.simulation_based.BatchEvaluator`):
-    the micro-batches the broker already coalesces then additionally run
-    symbolic-once/evaluate-many per same-topology group, with scalar
-    fallback for anything the kernel declines.
+    ``batcher`` (optional) implements the three-member batcher protocol
+    of ``map_evaluate`` (for circuit workloads,
+    :class:`repro.synthesis.simulation_based.BatchEvaluator`): the
+    micro-batches the broker already coalesces then run parent-side
+    per group, with the executor's scalar path re-running any member
+    the batcher declines.
     """
 
     name: str

@@ -11,8 +11,8 @@
 4. **rank** the survivors symbolically (:mod:`.prune`) and keep the
    top-k — a ≥ 5× cut of the sized set by default;
 5. **size** each survivor through :class:`SimulationBasedSizer` with the
-   batched kernels and optional surrogate screening enabled, and pick
-   the best sized design NaN-safely.
+   batched evaluation path and optional surrogate screening enabled, and
+   pick the best sized design NaN-safely.
 
 Progress is counted on the engine's telemetry under ``topogen.*`` and
 rolled into report schema v8 / manifest v7.

@@ -10,7 +10,8 @@ collapses repeated sizings fleet-wide.
 :class:`GeneratedSpaceEvaluator` routes each point to a lazily-built
 per-structure :class:`SimulationEvaluator`;
 :class:`GeneratedSpaceBatcher` buckets cache misses by structure id so
-same-structure requests run through the vectorized batch kernels.
+same-structure requests run through one
+:class:`~repro.synthesis.simulation_based.BatchEvaluator` per group.
 """
 
 from __future__ import annotations

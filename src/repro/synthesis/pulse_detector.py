@@ -290,7 +290,7 @@ def build_pulse_detector_circuit(design: PulseDetectorDesign,
 
 
 # ----------------------------------------------------------------------
-# Transistor-level CSA sizing on the vectorized kernels
+# Transistor-level CSA sizing through the engine's batcher path
 # ----------------------------------------------------------------------
 
 CSA_SIM_SPACE_VARIABLES = {
@@ -328,16 +328,16 @@ def synthesize_csa_batched(seed: int = 7,
                            schedule: AnnealSchedule | None = None,
                            batch_kernel: bool = True,
                            batch_size: int = 6) -> SizingResult:
-    """Size the CSA by simulation on the vectorized same-topology kernels.
+    """Size the CSA by simulation, each point a DC + stacked AC sweep.
 
-    Every annealing batch shares the CSA topology, so with
-    ``batch_kernel=True`` the engine assembles one stacked AC system per
-    batch instead of simulating the members one by one
-    (:mod:`repro.analysis.batch`).  The trajectory is pinned in
+    With ``batch_kernel=True`` the engine hands each annealing batch's
+    cache misses to a
+    :class:`~repro.synthesis.simulation_based.BatchEvaluator`, which runs
+    them through the same per-point code as the ``batch_kernel=False``
+    executor path.  The trajectory is pinned in
     ``tests/golden/pulse_detector.json`` under ``batched_sizing`` — by
-    construction it must be *identical* to the ``batch_kernel=False``
-    run, so the golden also guards the batched≡scalar contract at the
-    whole-flow level.
+    construction it is *identical* for both settings, so the golden also
+    guards the batched≡scalar contract at the whole-flow level.
     """
     from repro.circuits.library import CSA_DEFAULTS
     from repro.engine.config import EngineConfig

@@ -32,7 +32,7 @@ from repro.circuits.netlist import Circuit
 from repro.core.specs import SpecSet
 from repro.engine.cache import EvalCache, canonical_key
 from repro.engine.config import EngineConfig, resolve_flow_engine
-from repro.engine.core import EvaluationEngine
+from repro.engine.core import BATCH_FALLBACK, EvaluationEngine
 from repro.engine.faults import is_failure
 from repro.engine.telemetry import Telemetry
 from repro.engine.trace import span_if
@@ -40,6 +40,11 @@ from repro.opt.anneal import AnnealSchedule, anneal_continuous
 from repro.synthesis.equation_based import DesignSpace, SizingResult
 
 CircuitBuilder = Callable[[dict[str, float]], Circuit]
+
+#: Failures of one simulated point: the scalar path records them, and
+#: :class:`BatchEvaluator` hands the point back to that path.
+SIMULATION_ERRORS = (ConvergenceError, SingularCircuitError, ValueError,
+                     KeyError)
 
 
 @dataclass
@@ -132,27 +137,31 @@ class SimulationEvaluator:
         if self.telemetry is not None:
             self.telemetry.count("simulator.calls")
         try:
-            circuit = self.build_testbench(sizes)
-            op = dc_operating_point(circuit)
-            freqs = logspace_frequencies(self.f_start, self.f_stop,
-                                         self.points_per_decade)
-            ac = ac_analysis(circuit, freqs, op=op)
-            metrics = bode_metrics(ac, self.output)
-        except (ConvergenceError, SingularCircuitError, ValueError, KeyError):
+            solved = self._solve(sizes)
+        except SIMULATION_ERRORS:
             if self.telemetry is not None:
                 self.telemetry.count("simulator.failures")
             if self.raise_failures:
                 raise
             return {}
-        return self._performance(circuit, op, metrics)
+        return self._performance(*solved)
+
+    def _solve(self, sizes: dict[str, float]):
+        """Build the testbench, solve DC and the AC sweep, extract Bode
+        metrics; raises on failure.
+
+        With :meth:`_performance` this is the one per-point simulation
+        path: :meth:`simulate` and :class:`BatchEvaluator` both run it.
+        """
+        circuit = self.build_testbench(sizes)
+        op = dc_operating_point(circuit)
+        freqs = logspace_frequencies(self.f_start, self.f_stop,
+                                     self.points_per_decade)
+        ac = ac_analysis(circuit, freqs, op=op)
+        return circuit, op, bode_metrics(ac, self.output)
 
     def _performance(self, circuit: Circuit, op, metrics) -> dict[str, float]:
-        """Assemble the performance dict from solved analyses.
-
-        Shared by the scalar path (:meth:`simulate`) and the vectorized
-        kernel path (:class:`BatchEvaluator`), so both report the exact
-        same metric set for a given operating point and Bode summary.
-        """
+        """Assemble the performance dict from solved analyses."""
         performance = {
             "gain": metrics.dc_gain,
             "gain_db": metrics.dc_gain_db,
@@ -174,23 +183,19 @@ class SimulationEvaluator:
 
 @dataclass
 class BatchEvaluator:
-    """Same-topology vectorized kernel for :class:`SimulationEvaluator`.
+    """Batcher for :class:`SimulationEvaluator` cache misses.
 
     Satisfies the three-member batcher protocol of
-    :meth:`repro.engine.EvaluationEngine.map_evaluate`: ``group`` buckets
-    cache-miss sizing points by the topology signature of their built
-    testbench (sizings of one schematic share a signature — values are
-    excluded), and ``evaluate`` runs one bucket through the
-    symbolic-once/evaluate-many kernels in :mod:`repro.analysis.batch`:
-    per-member DC operating points (nonlinear Newton stays scalar, so
-    results match the scalar path bitwise) followed by one stacked AC
-    sweep solved as a batched dense LU.
+    :meth:`repro.engine.EvaluationEngine.map_evaluate`.  ``group``
+    returns every point as one group, and ``evaluate`` runs each member
+    through the per-point code of :meth:`SimulationEvaluator.simulate`,
+    whose AC sweep already solves all its frequencies in one stacked
+    call.  Batched and scalar evaluation agree bit for bit because they
+    share that one code path.
 
-    Every member the kernel cannot take — unbuildable sizing,
-    non-convergent or singular DC, a member :func:`~repro.analysis.mna.
-    solve_dense_batched` flags as singular (removed and the rest
-    retried), or a metric-extraction error — is returned as
-    :data:`~repro.engine.core.BATCH_FALLBACK` so the engine re-runs it
+    A member that fails (unbuildable sizing, non-convergent or singular
+    DC, a metric-extraction error) is returned as
+    :data:`~repro.engine.core.BATCH_FALLBACK`, so the engine re-runs it
     through the ordinary scalar executor path with identical failure
     counting, retry and record semantics.
     """
@@ -199,61 +204,19 @@ class BatchEvaluator:
     min_batch: int = 2
 
     def group(self, points: list[dict[str, float]]) -> list[list[int]]:
-        from repro.analysis.batch import topology_signature
-        groups: dict[str, list[int]] = {}
-        for i, sizes in enumerate(points):
-            try:
-                sig = topology_signature(
-                    self.evaluator.build_testbench(sizes))
-            except (ValueError, KeyError):
-                # Unbuildable: a unique singleton signature keeps it under
-                # min_batch so the scalar path owns the failure.
-                sig = f"__unbuildable__:{i}"
-            groups.setdefault(sig, []).append(i)
-        return list(groups.values())
+        return [list(range(len(points)))] if points else []
 
     def evaluate(self, points: list[dict[str, float]]) -> list:
-        from repro.analysis.batch import batched_ac
-        from repro.analysis.mna import BatchSingularError
-        from repro.engine.core import BATCH_FALLBACK
-
         ev = self.evaluator
-        results: list = [BATCH_FALLBACK] * len(points)
-        circuits: list = [None] * len(points)
-        ops: list = [None] * len(points)
-        good: list[int] = []
-        for i, sizes in enumerate(points):
+        results: list = []
+        for sizes in points:
             try:
-                circuits[i] = ev.build_testbench(sizes)
-                ops[i] = dc_operating_point(circuits[i])
-                good.append(i)
-            except (ConvergenceError, SingularCircuitError,
-                    ValueError, KeyError):
-                pass  # BATCH_FALLBACK: the scalar re-run owns the failure
-        freqs = logspace_frequencies(ev.f_start, ev.f_stop,
-                                     ev.points_per_decade)
-        acs = None
-        while len(good) >= 2:
-            try:
-                acs = batched_ac([circuits[i] for i in good], freqs,
-                                 ops=[ops[i] for i in good])
-                break
-            except BatchSingularError as err:
-                # Drop the members the stacked LU flagged and retry the
-                # rest; the dropped ones fall back to the scalar path,
-                # which reports the per-member SingularCircuitError.
-                bad = {good[m] for m in err.members}
-                good = [i for i in good if i not in bad]
-        if acs is None:
-            return results
-        for i, ac in zip(good, acs):
-            try:
-                metrics = bode_metrics(ac, ev.output)
-                performance = ev._performance(circuits[i], ops[i], metrics)
-            except (ConvergenceError, SingularCircuitError,
-                    ValueError, KeyError):
-                continue  # fall back: scalar re-run reproduces the error
-            results[i] = performance
+                performance = ev._performance(*ev._solve(sizes))
+            except SIMULATION_ERRORS:
+                # The scalar re-run owns the failure record.
+                results.append(BATCH_FALLBACK)
+                continue
+            results.append(performance)
             if ev.telemetry is not None:
                 # One batched member == one simulator run; fallback
                 # members are counted by the scalar re-run instead.
@@ -282,8 +245,8 @@ class _EngineBatch:
     # every successful evaluation, which is what lets a later run harvest
     # this run's disk cache as surrogate training data.
     corpus_index: object | None = None
-    # Optional BatchEvaluator: routes same-topology cache misses through
-    # the vectorized kernels instead of per-point executor dispatch.
+    # Optional BatchEvaluator: evaluates cache misses parent-side
+    # instead of through per-point executor dispatch.
     batcher: object | None = None
 
     def _sizes(self, x) -> dict[str, float]:
@@ -330,13 +293,12 @@ class SimulationBasedSizer:
     grown corpus there after the run.  The final reported sizing is
     always re-measured with a real simulation, screened or not.
 
-    ``batch_kernel=True`` (or ``EngineConfig(batch_kernel=True)``) opts
-    cache-miss evaluation into the vectorized same-topology kernels: a
-    :class:`BatchEvaluator` groups each annealing batch by testbench
-    topology signature and solves one stacked AC sweep per group
-    (:mod:`repro.analysis.batch`), with per-member scalar fallback for
-    anything the kernel declines.  ``kernel.*`` counters in
-    ``engine.report()`` show the batched/scalar split.
+    ``batch_kernel=True`` (or ``EngineConfig(batch_kernel=True)``)
+    routes cache misses through a :class:`BatchEvaluator`, which runs
+    each member of an annealing batch parent-side through the same
+    per-point code as the scalar path, with scalar re-runs for members
+    that fail.  Both settings give bit-identical results; ``kernel.*``
+    counters in ``engine.report()`` show the batched/scalar split.
     """
 
     def __init__(self, evaluator: Callable[[dict[str, float]], dict[str, float]],

@@ -1,12 +1,13 @@
 """Differential tests for the shared factor-once/solve-many solver layer.
 
 The layer (:mod:`repro.analysis.solver`) must be *invisible* numerically:
-dense LU, sparse LU and the seed dense path (``np.linalg.solve`` via
-``mna.solve_dense``) agree to solver tolerance on the library circuits
-and on power grids, all three solve directions match their definitional
-``np.linalg.solve`` counterparts, and reusing a cached factorization is
-bit-identical to the first pass.  On top of that the cache's hit/miss
-accounting — both local and through the tracer — must add up.
+dense LU, sparse LU and the stacked one-shot path (``solve_stack``)
+agree with a plain ``np.linalg.solve`` to solver tolerance on the
+library circuits and on power grids, all three solve directions match
+their definitional ``np.linalg.solve`` counterparts, and reusing a
+cached factorization is bit-identical to the first pass.  On top of
+that the cache's hit/miss accounting — both local and through the
+tracer — must add up.
 """
 
 import math
@@ -21,13 +22,13 @@ from repro.analysis import (
     noise_analysis,
     small_signal_system,
 )
-from repro.analysis.mna import SingularCircuitError, solve_dense
+from repro.analysis.mna import SingularCircuitError
 from repro.analysis.solver import (
     SPARSE_SIZE_THRESHOLD,
     FactorizationCache,
     FactorizedOperator,
     factorize,
-    solve_once,
+    solve_stack,
 )
 from repro.circuits.library import (
     five_transistor_ota,
@@ -89,7 +90,7 @@ def _mesh_grid(nx: int, ny: int, width_nm: int = 10_000) -> PowerGrid:
 
 
 # ----------------------------------------------------------------------
-# dense vs sparse vs seed path
+# dense vs sparse vs stacked vs plain np.linalg.solve
 # ----------------------------------------------------------------------
 
 class TestDifferential:
@@ -97,11 +98,13 @@ class TestDifferential:
     @pytest.mark.parametrize("freq", [10.0, 1e5, 1e8])
     def test_library_circuits_all_paths_agree(self, make, freq):
         A, b = _ac_matrix(make(), freq)
-        x_seed = solve_dense(A, b)
+        x_ref = np.linalg.solve(A, b)
         x_dense = factorize(A, prefer_sparse=False).solve(b)
         x_sparse = factorize(A, prefer_sparse=True).solve(b)
-        np.testing.assert_allclose(x_dense, x_seed, rtol=1e-9, atol=1e-30)
-        np.testing.assert_allclose(x_sparse, x_seed, rtol=1e-9, atol=1e-30)
+        x_stack = solve_stack(A[None], b)[0]
+        np.testing.assert_allclose(x_dense, x_ref, rtol=1e-9, atol=1e-30)
+        np.testing.assert_allclose(x_sparse, x_ref, rtol=1e-9, atol=1e-30)
+        np.testing.assert_allclose(x_stack, x_ref, rtol=1e-9, atol=1e-30)
 
     def test_power_grid_all_paths_agree(self):
         grid = _mesh_grid(8, 8)
@@ -138,10 +141,14 @@ class TestDifferential:
         np.testing.assert_allclose(
             op.solve(b), np.linalg.solve(G.toarray(), b), rtol=1e-9)
 
-    def test_solve_once_matches_seed(self):
-        A, b = _ac_matrix(_ota_testbench(), 1e3)
-        np.testing.assert_allclose(
-            solve_once(A, b), solve_dense(A, b), rtol=1e-9, atol=1e-30)
+    def test_solve_stack_matches_reference(self):
+        freqs = [10.0, 1e3, 1e6, 1e9]
+        pairs = [_ac_matrix(_ota_testbench(), f) for f in freqs]
+        A = np.stack([a for a, _ in pairs])
+        X = solve_stack(A, pairs[0][1])
+        for k, (a, b) in enumerate(pairs):
+            np.testing.assert_allclose(
+                X[k], np.linalg.solve(a, b), rtol=1e-9, atol=1e-30)
 
     def test_auto_selection_by_size_and_density(self):
         small = np.eye(4)
@@ -284,7 +291,7 @@ class TestReuseBitIdentical:
         freqs = np.array([100.0, 1e5])
         op = dc_operating_point(ckt)
         warm = small_signal_system(ckt, op)
-        warm.solve_at(100.0)  # pre-factorize: noise must reuse, not drift
+        warm.solve_at(100.0)  # a warm factor cache must not change noise
         n_warm = noise_analysis(ckt, "out", freqs, op=op, ss=warm)
         n_cold = noise_analysis(ckt, "out", freqs, op=op)
         assert np.array_equal(n_warm.output_psd, n_cold.output_psd)
