@@ -45,8 +45,13 @@ class DeviceLayout:
     right_net: str | None = None    # net on the right diffusion edge
     fingers: int = 1
 
+    def __post_init__(self) -> None:
+        # Generated cells are never edited afterwards, and the placer
+        # asks for every device's box on every move.
+        self._bbox = self.cell.bbox()
+
     def bbox(self) -> Rect:
-        return self.cell.bbox()
+        return self._bbox
 
     @property
     def width(self) -> int:

@@ -15,7 +15,9 @@ and objectives of KOAN [Cohn et al., JSSC'91]:
 * cost = packed area + half-perimeter wirelength + overlap penalty.
 
 After annealing, a constraint-graph legalization pass removes residual
-overlaps while preserving relative order and re-centres symmetry pairs.
+overlaps while preserving relative order and re-centres symmetry pairs;
+when its bounded rounds leave an overlap, a bottom-up sweep that always
+terminates lifts the remaining offenders clear.
 """
 
 from __future__ import annotations
@@ -326,6 +328,8 @@ class KoanPlacer:
         self._legalize(best)
         self._apply_symmetry(best)
         self._legalize_y_only(best)
+        if has_overlaps(best):
+            self._sweep_up(best)
         boxes = {n: o.bbox() for n, o in best.objects.items()}
         final_cost = self.cost(best)
         return PlacementResult(
@@ -397,6 +401,45 @@ class KoanPlacer:
                         pl.objects[partner].y += direction * dy
             if not moved:
                 return
+
+    def _sweep_up(self, pl: Placement) -> None:
+        """Legalize for certain, keeping every symmetry pair mirrored.
+
+        Twins that overlap each other first move apart about the axis.
+        Then, from the lowest box up, each object and its twin are lifted
+        above every already-swept box they overlap.  A lift clears for
+        good each box it was computed from, since objects only move up,
+        so each object settles after at most as many lifts as there are
+        swept boxes.
+        """
+        spacing = self.tech.min_space_diff
+        for slave, master in self._slave_of.items():
+            while True:
+                m_box = pl.objects[master].bbox()
+                inter = m_box.intersection(pl.objects[slave].bbox())
+                if inter is None:
+                    break
+                away = -1 if m_box.center[0] <= pl.axis_x else 1
+                pl.objects[master].x += away * (inter.width + spacing)
+                self._apply_symmetry(pl)
+        swept: list[Rect] = []
+        done: set[str] = set()
+        for name in sorted(pl.objects,
+                           key=lambda n: (pl.objects[n].bbox().y1, n)):
+            if name in done:
+                continue
+            partner = self._partner(name)
+            group = [name] + ([partner] if partner in pl.objects else [])
+            while True:
+                lift = max((s.y2 + spacing - b.y1
+                            for b in (pl.objects[g].bbox() for g in group)
+                            for s in swept if b.intersects(s)), default=0)
+                if lift <= 0:
+                    break
+                for g in group:
+                    pl.objects[g].y += lift
+            swept.extend(pl.objects[g].bbox() for g in group)
+            done.update(group)
 
     def _partner(self, name: str) -> str | None:
         if name in self._slave_of:

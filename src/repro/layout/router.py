@@ -2,8 +2,10 @@
 
 Reproduces the router features the tutorial highlights [35, 36, 39, 40]:
 
-* maze (A*) search on a two-layer routing grid with via and bend costs
-  and preferred directions (metal1 horizontal, metal2 vertical);
+* maze (A*) search on a two-layer routing grid with preferred
+  directions (metal1 horizontal, metal2 vertical): every cell entered
+  costs 1, a wrong-way step and a via cost extra, and the search runs on
+  the shared kernel of :mod:`repro.layout.gridsearch`;
 * *net classes* — ``noisy``, ``sensitive`` and ``neutral`` wires; the
   cost of a grid cell grows when an incompatible class runs adjacent,
   implementing crosstalk avoidance ("mechanisms for tagging compatible
@@ -20,10 +22,18 @@ Reproduces the router features the tutorial highlights [35, 36, 39, 40]:
 
 from __future__ import annotations
 
-import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+
+import numpy as np
 
 from repro.layout.geometry import Cell, Rect
+from repro.layout.gridsearch import (
+    SIDES,
+    grid_search,
+    manhattan,
+    move,
+    shifted,
+)
 from repro.layout.placer import Placement
 from repro.layout.technology import (
     DEFAULT_TECH,
@@ -105,7 +115,7 @@ class AnagramRouter:
     def __init__(self, area: Rect, obstacles_m1: list[Rect],
                  tech: Technology = DEFAULT_TECH,
                  axis_x: int | None = None,
-                 bend_cost: float = 2.0, via_cost: float = 5.0,
+                 via_cost: float = 5.0,
                  wrong_way_cost: float = 1.5,
                  crosstalk_cost: float = 25.0,
                  cap_overrun_cost: float = 200.0,
@@ -117,7 +127,6 @@ class AnagramRouter:
         self.nx = max(2, self.area.width // self.pitch + 1)
         self.ny = max(2, self.area.height // self.pitch + 1)
         self.axis_x = axis_x
-        self.bend_cost = bend_cost
         self.via_cost = via_cost
         self.wrong_way_cost = wrong_way_cost
         self.crosstalk_cost = crosstalk_cost
@@ -125,7 +134,7 @@ class AnagramRouter:
         # occupancy[layer][(ix, iy)] = (net, net_class)
         self.occupancy: list[dict[tuple[int, int], tuple[str, str]]] = [
             {}, {}]
-        self.blocked_m1: set[tuple[int, int]] = set()
+        self.blocked_m1 = np.zeros((self.nx, self.ny), bool)
         for rect in obstacles_m1:
             self._block(rect)
 
@@ -146,108 +155,38 @@ class AnagramRouter:
                                 rect.y1 - self.pitch // 2)
         gx2, gy2 = self.to_grid(rect.x2 + self.pitch // 2,
                                 rect.y2 + self.pitch // 2)
-        for ix in range(gx1, gx2 + 1):
-            for iy in range(gy1, gy2 + 1):
-                self.blocked_m1.add((ix, iy))
+        self.blocked_m1[gx1:gx2 + 1, gy1:gy2 + 1] = True
 
     # ------------------------------------------------------------------
-    # costs
+    # cost rasters
     # ------------------------------------------------------------------
-    def _cell_cost(self, layer: int, ix: int, iy: int, net: str,
-                   net_class: str) -> float | None:
-        """Cost of occupying a cell, or None if unusable."""
-        if layer == _M1 and (ix, iy) in self.blocked_m1:
-            return None
-        occupant = self.occupancy[layer].get((ix, iy))
-        if occupant is not None and occupant[0] != net:
-            return None
-        cost = 1.0
-        # Crosstalk: adjacency to incompatible-class wires on any layer.
-        for other_layer in (_M1, _M2):
-            for dx, dy in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-                neighbour = self.occupancy[other_layer].get(
-                    (ix + dx, iy + dy))
-                if neighbour is None or neighbour[0] == net:
-                    continue
-                if (net_class, neighbour[1]) in _INCOMPATIBLE:
-                    cost += self.crosstalk_cost
-        return cost
+    def _moves(self, net: str, net_class: str) -> list[tuple[int, list]]:
+        """The search's moves for one net over (layer, ix, iy) cells.
 
-    # ------------------------------------------------------------------
-    # search
-    # ------------------------------------------------------------------
-    def _astar(self, sources: set[tuple[int, int, int]],
-               targets: set[tuple[int, int, int]], net: str,
-               net_class: str, cap_state: float,
-               cap_bound: float | None) -> list[tuple[int, int, int]] | None:
-        """Multi-source/multi-target A* over (layer, ix, iy) states."""
-        target_cells = {(ix, iy) for _, ix, iy in targets}
-
-        def h(ix: int, iy: int) -> float:
-            return min(abs(ix - tx) + abs(iy - ty)
-                       for tx, ty in target_cells)
-
-        open_heap: list[tuple[float, float, tuple[int, int, int],
-                              tuple[int, int, int] | None]] = []
-        best: dict[tuple[int, int, int], float] = {}
-        parent: dict[tuple[int, int, int], tuple[int, int, int] | None] = {}
-        cap_per_cell = self.tech.wire_capacitance(
-            self.pitch, self.tech.min_width_metal)
-        for state in sources:
-            best[state] = 0.0
-            parent[state] = None
-            heapq.heappush(open_heap, (h(state[1], state[2]), 0.0,
-                                       state, None))
-        while open_heap:
-            f, g, state, par = heapq.heappop(open_heap)
-            if g > best.get(state, float("inf")):
-                continue
-            layer, ix, iy = state
-            if state in targets:
-                return self._backtrace(state, parent)
-            for nstate, step in self._neighbours(state):
-                nlayer, nx_, ny_ = nstate
-                if not (0 <= nx_ < self.nx and 0 <= ny_ < self.ny):
-                    continue
-                cell = self._cell_cost(nlayer, nx_, ny_, net, net_class)
-                if cell is None:
-                    continue
-                move = cell + step
-                if cap_bound is not None:
-                    projected = cap_state + (g + move) * cap_per_cell
-                    if projected > cap_bound:
-                        move += self.cap_overrun_cost
-                ng = g + move
-                if ng < best.get(nstate, float("inf")):
-                    best[nstate] = ng
-                    parent[nstate] = state
-                    heapq.heappush(open_heap,
-                                   (ng + h(nx_, ny_), ng, nstate, state))
-        return None
-
-    def _neighbours(self, state: tuple[int, int, int]):
-        layer, ix, iy = state
-        # Preferred direction costs: m1 horizontal, m2 vertical.
-        if layer == _M1:
-            yield (layer, ix + 1, iy), 0.0
-            yield (layer, ix - 1, iy), 0.0
-            yield (layer, ix, iy + 1), self.wrong_way_cost
-            yield (layer, ix, iy - 1), self.wrong_way_cost
-        else:
-            yield (layer, ix, iy + 1), 0.0
-            yield (layer, ix, iy - 1), 0.0
-            yield (layer, ix + 1, iy), self.wrong_way_cost
-            yield (layer, ix - 1, iy), self.wrong_way_cost
-        yield ((1 - layer), ix, iy), self.via_cost
-
-    @staticmethod
-    def _backtrace(state, parent):
-        path = [state]
-        while parent[state] is not None:
-            state = parent[state]
-            path.append(state)
-        path.reverse()
-        return path
+        Blocked metal1 and other nets' cells are unusable.  Entering a
+        cell costs 1 plus ``crosstalk_cost`` per neighbour on either
+        layer held by an incompatible-class net; a wrong-way step (m1
+        runs horizontal, m2 vertical) or a via then adds its own cost.
+        """
+        usable = np.ones((2, self.nx, self.ny), bool)
+        usable[_M1] = ~self.blocked_m1
+        hostile = np.zeros_like(usable)
+        for layer, occupancy in enumerate(self.occupancy):
+            for (ix, iy), (owner, cls) in occupancy.items():
+                if owner != net:
+                    usable[layer, ix, iy] = False
+                    hostile[layer, ix, iy] = (net_class, cls) in _INCOMPATIBLE
+        cell = np.ones((self.nx, self.ny))
+        for layer in (_M1, _M2):
+            for side in SIDES:
+                cell += np.where(shifted(hostile[layer], side, False),
+                                 self.crosstalk_cost, 0.0)
+        enter = np.where(usable, cell, np.nan)
+        x_step = np.array([0.0, self.wrong_way_cost])[:, None, None]
+        return [move(enter, shift, step) for shift, step in (
+            ((0, 1, 0), x_step), ((0, -1, 0), x_step),
+            ((0, 0, 1), x_step[::-1]), ((0, 0, -1), x_step[::-1]),
+            ((1, 0, 0), self.via_cost), ((-1, 0, 0), self.via_cost))]
 
     # ------------------------------------------------------------------
     # net routing
@@ -261,23 +200,34 @@ class AnagramRouter:
             glayer = _M1 if layer in (LAYER_METAL1, LAYER_POLY) else _M2
             pin_states.append((glayer, ix, iy))
             # Pins may sit on blocked cells (they are on the device).
-            self.blocked_m1.discard((ix, iy))
+            self.blocked_m1[ix, iy] = False
+        moves = self._moves(request.net, request.net_class)
+        nx, ny = self.nx, self.ny
         tree: set[tuple[int, int, int]] = {pin_states[0]}
         all_cells: list[tuple[int, int, int]] = [pin_states[0]]
         cap_per_cell = self.tech.wire_capacitance(
             self.pitch, self.tech.min_width_metal)
         cap_state = 0.0
+        overrun = None
+        if request.cap_bound is not None:
+            def overrun(g: float, cost: float) -> float:
+                if cap_state + (g + cost) * cap_per_cell > request.cap_bound:
+                    return cost + self.cap_overrun_cost
+                return cost
         for pin in pin_states[1:]:
             if pin in tree:
                 continue
-            path = self._astar(tree, {pin}, request.net,
-                               request.net_class, cap_state,
-                               request.cap_bound)
+            h = manhattan((nx, ny), pin[1:])
+            path = grid_search({(lay * nx + ix) * ny + iy
+                                for lay, ix, iy in tree},
+                               (pin[0] * nx + pin[1]) * ny + pin[2],
+                               moves, h + h, overrun)
             if path is None:
                 raise RoutingError(
                     f"net {request.net!r}: no path to pin at "
                     f"{self.to_coord(pin[1], pin[2])}")
-            for state in path:
+            for state in ((k // (nx * ny), k // ny % nx, k % ny)
+                          for k in path):
                 if state not in tree:
                     tree.add(state)
                     all_cells.append(state)
@@ -328,9 +278,9 @@ class AnagramRouter:
                     mix, miy = self.to_grid(mx, y)
                     cells.append((layer, mix, miy))
         for layer, ix, iy in cells:
-            cost = self._cell_cost(layer, ix, iy, request.net,
-                                   request.net_class)
-            if cost is None:
+            occupant = self.occupancy[layer].get((ix, iy))
+            if (layer == _M1 and self.blocked_m1[ix, iy]) or (
+                    occupant is not None and occupant[0] != request.net):
                 raise RoutingError(
                     f"mirror path of {wire.net!r} blocked at "
                     f"{self.to_coord(ix, iy)}")

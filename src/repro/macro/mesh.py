@@ -25,11 +25,15 @@ byte-identical segment graph every time.
 
 from __future__ import annotations
 
-import heapq
+from collections import Counter
 from dataclasses import dataclass, field
+from functools import lru_cache
+
+import numpy as np
 
 from repro.engine.trace import current_tracer
 from repro.layout.geometry import Cell, Rect
+from repro.layout.gridsearch import grid_search, manhattan, move
 from repro.layout.technology import LAYER_METAL1, LAYER_METAL2, LAYER_VIA1
 from repro.macro.tiling import TiledMacro
 from repro.msystem.powergrid import SHEET_RES, GridSegment, PowerGrid
@@ -212,21 +216,6 @@ def assign_rail_tracks(free_tracks: list[int], requested: int) -> list[int]:
     return sorted(chosen)
 
 
-def _component(blockages, seed: tuple[int, int]) -> set[tuple[int, int]]:
-    """Connected component of free crossings containing ``seed`` (BFS)."""
-    from collections import deque
-    queue = deque([seed])
-    seen = {seed}
-    while queue:
-        i, j = queue.popleft()
-        for di, dj in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-            nxt = (i + di, j + dj)
-            if nxt not in seen and blockages.is_free(*nxt):
-                seen.add(nxt)
-                queue.append(nxt)
-    return seen
-
-
 def _rail_endpoints(blockages, orientation: str,
                     track: int) -> tuple[tuple[int, int], tuple[int, int]]:
     """Endpoints for a rail: the reachable span of its nominal track.
@@ -235,33 +224,28 @@ def _rail_endpoints(blockages, orientation: str,
     the bottom corridor) shortens the rail rather than killing it, and a
     keepout that *disconnects* the corridor (the decoder notch on a
     small array) drops the isolated stub: the rail spans the first and
-    last track crossings inside the largest connected component.  A
-    track with fewer than two connected free crossings cannot carry a
-    rail at all.
+    last track crossings of the connected component holding the most of
+    them (the first such component along the track on a tie).  A track
+    with fewer than two connected free crossings cannot carry a rail.
     """
-    if orientation == "h":
-        cells = [(i, track) for i in range(blockages.nx)]
-    else:
-        cells = [(track, j) for j in range(blockages.ny)]
-    free = [c for c in cells if blockages.is_free(*c)]
+    labels = blockages.components
+    line = (labels[:, track] if orientation == "h"
+            else labels[track, :]).tolist()
+    free = [k for k, label in enumerate(line) if label]
     if len(free) < 2:
         raise MeshRoutingError(
             f"{orientation}-track {track} has {len(free)} free crossings; "
             f"a rail needs at least 2")
-    components: list[list[tuple[int, int]]] = []
-    assigned: set[tuple[int, int]] = set()
-    for crossing in free:
-        if crossing in assigned:
-            continue
-        comp = _component(blockages, crossing)
-        assigned |= comp
-        components.append([c for c in free if c in comp])
-    best = max(components, key=len)
-    if len(best) < 2:
+    counts = Counter(line[k] for k in free)
+    best = max(counts, key=counts.get)
+    if counts[best] < 2:
         raise MeshRoutingError(
             f"{orientation}-track {track} is disconnected into stubs of "
             f"< 2 crossings; it cannot carry a rail")
-    return best[0], best[-1]
+    ends = [k for k in free if line[k] == best]
+    if orientation == "h":
+        return (ends[0], track), (ends[-1], track)
+    return (track, ends[0]), (track, ends[-1])
 
 
 # ----------------------------------------------------------------------
@@ -280,46 +264,33 @@ def _astar_rail(blockages, start: tuple[int, int], goal: tuple[int, int],
     if not blockages.is_free(*start) or not blockages.is_free(*goal):
         raise MeshRoutingError(
             f"rail endpoint blocked: {start} -> {goal}")
+    ny = blockages.ny
+    path = grid_search({start[0] * ny + start[1]}, goal[0] * ny + goal[1],
+                       _rail_moves(blockages, orientation, nominal),
+                       manhattan((blockages.nx, ny), goal))
+    if path is None:
+        raise MeshRoutingError(
+            f"no A* path for {orientation}-rail on track {nominal} "
+            f"({start} -> {goal}): blockage map disconnects the corridor")
+    return [divmod(k, ny) for k in path]
 
-    def heuristic(node: tuple[int, int]) -> float:
-        return abs(node[0] - goal[0]) + abs(node[1] - goal[1])
 
-    def offtrack(node: tuple[int, int]) -> float:
-        axis = node[1] if orientation == "h" else node[0]
-        return _OFFTRACK_COST * abs(axis - nominal)
-
-    open_heap: list[tuple[float, float, tuple[int, int]]] = [
-        (heuristic(start), 0.0, start)]
-    g_score: dict[tuple[int, int], float] = {start: 0.0}
-    parent: dict[tuple[int, int], tuple[int, int] | None] = {start: None}
-    while open_heap:
-        f, g, node = heapq.heappop(open_heap)
-        if g > g_score.get(node, float("inf")):
-            continue
-        if node == goal:
-            path = [node]
-            while parent[node] is not None:
-                node = parent[node]
-                path.append(node)
-            path.reverse()
-            return path
-        i, j = node
-        for di, dj in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-            nxt = (i + di, j + dj)
-            if not blockages.is_free(*nxt):
-                continue
-            step = 1.0 + offtrack(nxt)
-            along = (dj == 0) if orientation == "h" else (di == 0)
-            if not along:
-                step += _JOG_COST
-            ng = g + step
-            if ng < g_score.get(nxt, float("inf")):
-                g_score[nxt] = ng
-                parent[nxt] = node
-                heapq.heappush(open_heap, (ng + heuristic(nxt), ng, nxt))
-    raise MeshRoutingError(
-        f"no A* path for {orientation}-rail on track {nominal} "
-        f"({start} -> {goal}): blockage map disconnects the corridor")
+@lru_cache(maxsize=64)
+def _rail_moves(blockages, orientation: str,
+                nominal: int) -> list[tuple[int, list]]:
+    """The rail search's moves, memoized because a mesh anneal routes the
+    same few tracks of one (frozen) map over and over; the search only
+    reads the lists it is given."""
+    if orientation == "h":
+        offtrack = np.abs(np.arange(blockages.ny) - nominal)[None, :]
+        x_jog, y_jog = 0.0, _JOG_COST
+    else:
+        offtrack = np.abs(np.arange(blockages.nx) - nominal)[:, None]
+        x_jog, y_jog = _JOG_COST, 0.0
+    enter = np.where(blockages.components > 0,
+                     1.0 + _OFFTRACK_COST * offtrack, np.nan)
+    return [move(enter, (1, 0), x_jog), move(enter, (-1, 0), x_jog),
+            move(enter, (0, 1), y_jog), move(enter, (0, -1), y_jog)]
 
 
 # ----------------------------------------------------------------------

@@ -26,6 +26,10 @@ and the differential tests rely on.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import product
+
+import numpy as np
 
 from repro.engine.trace import current_tracer
 from repro.layout.geometry import Cell, Rect
@@ -113,6 +117,26 @@ class BlockageMap:
         if (i, j) in self.keepouts:
             return False
         return i in self.free_v or j in self.free_h
+
+    @cached_property
+    def components(self) -> np.ndarray:
+        """4-connected component label of every crossing, 0 where
+        blocked: labelled once per map, however many rails it carries."""
+        labels = np.zeros((self.nx, self.ny), int)
+        count = 0
+        for seed in product(range(self.nx), range(self.ny)):
+            if labels[seed] or not self.is_free(*seed):
+                continue
+            count += 1
+            labels[seed] = count
+            stack = [seed]
+            while stack:
+                i, j = stack.pop()
+                for nxt in ((i + 1, j), (i - 1, j), (i, j + 1), (i, j - 1)):
+                    if self.is_free(*nxt) and not labels[nxt]:
+                        labels[nxt] = count
+                        stack.append(nxt)
+        return labels
 
     @property
     def free_v_tracks(self) -> list[int]:

@@ -14,9 +14,11 @@ Nets are routed by Dijkstra over the tile graph with:
 
 from __future__ import annotations
 
-import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
+import numpy as np
+
+from repro.layout.gridsearch import SIDES, grid_search, move, shifted
 from repro.msystem.blocks import SignalNet
 from repro.msystem.floorplan import FloorplanResult
 
@@ -81,79 +83,49 @@ class WrenGlobalRouter:
         self.classes: dict[tuple[int, int], set[str]] = {}
 
     def _blocked_tiles(self) -> set[tuple[int, int]]:
-        blocked = set()
+        """Interior tiles only: a tile is blocked when its center is
+        strictly inside a block (edges stay routable as channels)."""
+        mask = np.zeros((self.nx, self.ny), bool)
+        margin = min(self.tile_w, self.tile_h) // 2
+        cx = np.arange(self.nx) * self.tile_w + self.tile_w // 2
+        cy = np.arange(self.ny) * self.tile_h + self.tile_h // 2
         for placed in self.fp.placed.values():
-            rect = placed.rect()
-            # Interior tiles only: a tile is blocked when its center is
-            # strictly inside a block (edges stay routable as channels).
-            for ix in range(self.nx):
-                for iy in range(self.ny):
-                    cx = ix * self.tile_w + self.tile_w // 2
-                    cy = iy * self.tile_h + self.tile_h // 2
-                    margin = min(self.tile_w, self.tile_h) // 2
-                    inner = rect.expanded(-margin)
-                    if inner.width > 0 and inner.height > 0 and \
-                            inner.contains_point(cx, cy):
-                        blocked.add((ix, iy))
-        return blocked
+            inner = placed.rect().expanded(-margin)
+            if inner.width > 0 and inner.height > 0:
+                mask |= np.outer((inner.x1 <= cx) & (cx < inner.x2),
+                                 (inner.y1 <= cy) & (cy < inner.y2))
+        return set(map(tuple, np.argwhere(mask).tolist()))
 
     def tile_of(self, x: int, y: int) -> tuple[int, int]:
         return (min(max(x // self.tile_w, 0), self.nx - 1),
                 min(max(y // self.tile_h, 0), self.ny - 1))
 
     # ------------------------------------------------------------------
-    def _tile_cost(self, tile: tuple[int, int], net_class: str) -> float | None:
-        if tile in self.blocked:
-            return None
-        cost = 1.0
-        used = self.usage.get(tile, 0)
-        if used >= self.capacity:
-            return None
-        cost += self.congestion_cost * (used / self.capacity) ** 2
+    def _moves(self, net_class: str) -> list[tuple[int, list]]:
+        """The search's moves for one net: entering a tile costs 1 plus
+        its congestion term, then ``noise_cost`` if incompatible wiring
+        crosses it and half that per such side neighbour.  Blocked and
+        full tiles are unusable."""
+        used = np.zeros((self.nx, self.ny), int)
+        for tile, count in self.usage.items():
+            used[tile] = count
+        usable = used < self.capacity
+        for tile in self.blocked:
+            usable[tile] = False
+        congestion = [1.0 + self.congestion_cost * (u / self.capacity) ** 2
+                      for u in range(self.capacity)]
+        cost = np.array(congestion)[np.minimum(used, self.capacity - 1)]
         if self.noise_aware:
-            for other in self.classes.get(tile, ()):  # same tile
-                if (net_class, other) in _INCOMPATIBLE:
-                    cost += self.noise_cost
-            for dx, dy in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-                for other in self.classes.get((tile[0] + dx,
-                                               tile[1] + dy), ()):
-                    if (net_class, other) in _INCOMPATIBLE:
-                        cost += self.noise_cost * 0.5
-        return cost
-
-    def _dijkstra(self, sources: set[tuple[int, int]],
-                  targets: set[tuple[int, int]],
-                  net_class: str) -> list[tuple[int, int]] | None:
-        dist: dict[tuple[int, int], float] = {t: 0.0 for t in sources}
-        parent: dict[tuple[int, int], tuple[int, int] | None] = {
-            t: None for t in sources}
-        heap = [(0.0, t) for t in sources]
-        heapq.heapify(heap)
-        while heap:
-            d, tile = heapq.heappop(heap)
-            if d > dist.get(tile, float("inf")):
-                continue
-            if tile in targets:
-                path = [tile]
-                while parent[tile] is not None:
-                    tile = parent[tile]
-                    path.append(tile)
-                path.reverse()
-                return path
-            ix, iy = tile
-            for dx, dy in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-                nxt = (ix + dx, iy + dy)
-                if not (0 <= nxt[0] < self.nx and 0 <= nxt[1] < self.ny):
-                    continue
-                cost = self._tile_cost(nxt, net_class)
-                if cost is None:
-                    continue
-                nd = d + cost
-                if nd < dist.get(nxt, float("inf")):
-                    dist[nxt] = nd
-                    parent[nxt] = tile
-                    heapq.heappush(heap, (nd, nxt))
-        return None
+            hostile = np.zeros_like(usable)
+            for tile, classes in self.classes.items():
+                hostile[tile] = any((net_class, other) in _INCOMPATIBLE
+                                    for other in classes)
+            cost += np.where(hostile, self.noise_cost, 0.0)
+            for side in SIDES:
+                cost += np.where(shifted(hostile, side, False),
+                                 self.noise_cost * 0.5, 0.0)
+        enter = np.where(usable, cost, np.nan)
+        return [move(enter, side) for side in SIDES]
 
     # ------------------------------------------------------------------
     def route(self, nets: list[SignalNet]) -> GlobalRoutingResult:
@@ -192,15 +164,19 @@ class WrenGlobalRouter:
             # Block-interior pins escape to the nearest channel tile (the
             # block's pin is on its edge; the tile grid is coarser).
             pins.append(self._nearest_free_tile(tile))
+        moves = self._moves(net.net_class)
+        ny = self.ny
         tree = {pins[0]}
         all_tiles = [pins[0]]
         for pin in pins[1:]:
             if pin in tree:
                 continue
-            path = self._dijkstra(tree, {pin}, net.net_class)
+            path = grid_search({ix * ny + iy for ix, iy in tree},
+                               pin[0] * ny + pin[1], moves,
+                               [0] * (self.nx * ny))
             if path is None:
                 return None
-            for tile in path:
+            for tile in (divmod(k, ny) for k in path):
                 if tile not in tree:
                     tree.add(tile)
                     all_tiles.append(tile)
@@ -249,3 +225,4 @@ class WrenGlobalRouter:
             if hit:
                 exposure += 1
         return exposure
+

@@ -18,7 +18,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.analysis import ac_analysis, dc_operating_point, small_signal_system
@@ -211,6 +211,7 @@ class TestRouterInvariants:
 class TestPlacerInvariants:
     @given(st.lists(st.floats(min_value=4e-6, max_value=60e-6),
                     min_size=2, max_size=5))
+    @example([26.12e-6, 58.37e-6, 39.08e-6, 26.20e-6, 56.73e-6])
     @settings(max_examples=10, deadline=None)
     def test_random_device_sets_place_legally(self, widths):
         from repro.circuits.devices import NMOS_DEFAULT, Mosfet
