@@ -3,9 +3,8 @@
 
 Starts a :class:`repro.serve.Broker` (``--shards 1``, the default) or a
 :class:`repro.serve.ShardRouter` fleet (``--shards N``) over
-thread-executor engines, exposes it through an HTTP facade — the stdlib
-thread-per-request server for the single broker, the asyncio front door
-for the fleet — and drives a mixed-priority workload through the typed
+thread-executor engines, exposes it through the asyncio HTTP front door,
+and drives a mixed-priority workload through the typed
 :class:`repro.serve.ServeClient`: an interactive client issuing small
 blocking requests over HTTP while a batch client saturates the queue
 in-process (plus a deliberately over-quota session and a cancelled
@@ -56,7 +55,6 @@ from repro.serve import (
     ShardRouter,
     Workload,
     make_async_server,
-    make_server,
     replay,
 )
 
@@ -101,18 +99,13 @@ def main(argv: list[str] | None = None) -> int:
                           shared_store_dir=store_dir,
                           synthesize_workload="simulate"))
     workload = Workload("simulate", _simulate, key_fn=_simulate_key)
-    if sharded:
-        backend = ShardRouter(config)
-        make_facade = make_async_server
-    else:
-        backend = Broker.from_config(config)
-        make_facade = make_server
+    backend = ShardRouter(config) if sharded else Broker.from_config(config)
     backend.register(workload)
 
     http_results: list[dict] = []
     http_errors: list[str] = []
 
-    with backend, make_facade(backend) as server:
+    with backend, make_async_server(backend) as server:
         url = server.url
         client = ServeClient(url, client="designer")
 

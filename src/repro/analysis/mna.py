@@ -428,16 +428,13 @@ def mos_capacitances(dev: Mosfet, region: str) -> tuple[float, float, float]:
     Scalar-only: ``dev.w``/``dev.l`` must be plain floats.  A device
     carrying batched parameter arrays would silently produce array-valued
     capacitances that downstream stamping cannot index, so it is rejected
-    here; batched evaluation builds one circuit per member and runs each
-    through the scalar path
-    (:class:`repro.synthesis.simulation_based.BatchEvaluator`).
+    here: build one circuit per sizing instead.
     """
     if np.ndim(dev.w) != 0 or np.ndim(dev.l) != 0 or np.ndim(dev.m) != 0:
         raise TypeError(
             f"mos_capacitances({dev.name!r}) expects scalar W/L/m, got "
             f"shapes {np.shape(dev.w)}/{np.shape(dev.l)}/{np.shape(dev.m)}; "
-            f"build one circuit per sizing (BatchEvaluator runs each "
-            f"member through the scalar path)")
+            f"build one circuit per sizing")
     if region not in ("saturation", "triode", "cutoff"):
         raise ValueError(
             f"mos_capacitances({dev.name!r}): unknown operating region "

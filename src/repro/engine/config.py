@@ -6,9 +6,11 @@ flow and sizer signature grew a matching kwarg.  :class:`EngineConfig`
 consolidates them: build one config, hand it to
 :meth:`repro.engine.EvaluationEngine.from_config`,
 :func:`repro.flows.design_ota_cell`, :func:`repro.flows.assemble_chip`,
-:class:`repro.synthesis.SimulationBasedSizer` or
-:func:`repro.synthesis.pulse_detector.pulse_detector_flow`.  The legacy
-scattered kwargs keep working but raise ``DeprecationWarning``.
+:class:`repro.synthesis.SimulationBasedSizer`,
+:class:`repro.synthesis.compose.TopologyFunnel` or
+:func:`repro.synthesis.pulse_detector.pulse_detector_flow`.  The first
+four also take a live ``engine=`` instead, shared with and owned by the
+caller; passing both is a ``ValueError``.
 
 ``describe()`` renders the config as a JSON-safe dict, which is what the
 run manifest records — a manifest always says exactly how its run was
@@ -17,7 +19,6 @@ configured.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -66,10 +67,10 @@ class ServeConfig:
         without starving bulk clients.
     http_max_wait_s:
         Server-side ceiling on how long one HTTP ``/evaluate`` or
-        ``/synthesize`` handler blocks when the request carries neither
-        a ``timeout_s`` nor any deadline — without it a few such
-        requests would pin ``ThreadingHTTPServer`` threads (and their
-        connections) forever.  Hitting the ceiling answers 504 with
+        ``/synthesize`` request waits when it carries neither a
+        ``timeout_s`` nor any deadline — without it such requests would
+        hold their connections (and the front door's parked futures)
+        forever.  Hitting the ceiling answers 504 with
         ``outcome="pending"``; the request itself stays in flight.
         ``None`` disables the ceiling.
     corpus_dir:
@@ -93,12 +94,10 @@ class ServeConfig:
         a result computed on one shard is a cache hit on every other.
         ``None`` keeps shards' caches private.
     http_host / http_port / synthesize_workload:
-        The HTTP front-door settings, consolidated here from the
-        scattered ``make_server(...)`` kwargs (which keep working behind
-        a ``DeprecationWarning``; setting a knob both here and there is
-        a ``ValueError``).  ``http_port=0`` binds an ephemeral port;
-        ``synthesize_workload`` names the registered workload that
-        ``POST /synthesize`` runs (``None`` answers 404).
+        The HTTP front door's settings, read by
+        :func:`repro.serve.make_async_server`.  ``http_port=0`` binds an
+        ephemeral port; ``synthesize_workload`` names the registered
+        workload that ``POST /synthesize`` runs (``None`` answers 404).
     """
 
     max_batch: int = 16
@@ -285,7 +284,8 @@ class EngineConfig:
         ``disk_cache_dir``); an instance is used as-is; ``False`` runs
         uncached.
     retry_policy / fault_injector / telemetry:
-        Installed on the engine exactly as the legacy kwargs were.
+        Installed on the engine: the retry policy and fault injector on
+        its executor, where flow stages also read the retry policy.
     trace:
         ``True`` builds a :class:`~repro.engine.trace.Tracer`; an explicit
         ``tracer`` instance wins.  ``trace_dir`` implies ``trace`` and
@@ -296,15 +296,6 @@ class EngineConfig:
         ``surrogate`` makes :class:`repro.synthesis.SimulationBasedSizer`
         screen candidate batches through a cache-trained surrogate
         (:mod:`repro.surrogate`) instead of simulating everything.
-    batch_kernel:
-        ``True`` routes cache misses through
-        :class:`repro.synthesis.simulation_based.BatchEvaluator`, which
-        evaluates them parent-side through the same per-point code as
-        the scalar path instead of per-point executor dispatch, with a
-        scalar re-run for every member that fails.  Results are
-        bit-identical either way.  Consumed by
-        :class:`repro.synthesis.SimulationBasedSizer` and reflected in
-        the ``kernel.*`` counters of ``engine.report()``.
     """
 
     executor: Executor | str = "serial"
@@ -321,7 +312,6 @@ class EngineConfig:
     trace_dir: str | Path | None = None
     serve: ServeConfig | None = None
     surrogate: SurrogateConfig | None = None
-    batch_kernel: bool = False
 
     # -- part builders -------------------------------------------------
     def build_executor(self) -> Executor:
@@ -390,29 +380,5 @@ class EngineConfig:
             else None,
             "surrogate": self.surrogate.describe()
             if self.surrogate is not None else None,
-            "batch_kernel": bool(self.batch_kernel),
         }
 
-
-def resolve_flow_engine(engine, retry_policy, config: EngineConfig | None,
-                        caller: str):
-    """Shared kwarg-migration shim for flows and sizers.
-
-    Returns ``(engine, retry_policy, owned)``: with a ``config`` the
-    engine is built fresh (``owned=True`` — the caller must close it);
-    legacy ``engine=`` / ``retry_policy=`` kwargs pass through unchanged
-    behind a ``DeprecationWarning``.
-    """
-    if config is not None:
-        if engine is not None or retry_policy is not None:
-            raise ValueError(
-                f"{caller}: pass either config= or the legacy "
-                f"engine=/retry_policy= kwargs, not both")
-        from repro.engine.core import EvaluationEngine
-        return EvaluationEngine.from_config(config), config.retry_policy, True
-    if engine is not None or retry_policy is not None:
-        warnings.warn(
-            f"{caller}: the engine=/retry_policy= kwargs are deprecated; "
-            f"pass config=EngineConfig(...) instead",
-            DeprecationWarning, stacklevel=3)
-    return engine, retry_policy, False

@@ -21,14 +21,13 @@ and assert the ``engine.evaluations`` delta is zero.
 from __future__ import annotations
 
 import time
-import warnings
 from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
 from repro.engine import trace as _trace
 from repro.engine.cache import EvalCache
 from repro.engine.executor import Executor, SerialExecutor
-from repro.engine.faults import FaultInjector, RetryPolicy, is_failure
+from repro.engine.faults import is_failure
 from repro.engine.schema import (
     REPORT_SCHEMA_VERSION,
     kernel_rollup,
@@ -53,10 +52,12 @@ class EvaluationEngine:
     """Cache-aware, executor-backed batch evaluation.
 
     The canonical construction path is
-    ``EvaluationEngine.from_config(EngineConfig(...))``; the individual
-    kwargs below predate :class:`~repro.engine.config.EngineConfig` and
-    the resilience-layer ones (``retry_policy`` / ``fault_injector``) are
-    deprecated as direct arguments.
+    ``EvaluationEngine.from_config(EngineConfig(...))``, which also
+    installs the resilience layer (retry policy, fault injector) on the
+    executor: failing evaluations are retried per the policy and
+    whatever still fails comes back as a structured ``EvalFailure``
+    (counted under ``failures.*`` and listed in :meth:`report`) instead
+    of raising or being silently replaced by a sentinel value.
 
     Parameters
     ----------
@@ -69,13 +70,6 @@ class EvaluationEngine:
         cached — a transient error must not become permanent.
     telemetry:
         Optional shared :class:`Telemetry`; one is created if omitted.
-    retry_policy / fault_injector:
-        Deprecated — configure through ``EngineConfig``.  When given,
-        installed on the executor: failing evaluations are retried per
-        the policy and whatever still fails comes back as a structured
-        ``EvalFailure`` (counted under ``failures.*`` and listed in
-        :meth:`report`) instead of raising or being silently replaced by
-        a sentinel value.
     tracer:
         Optional :class:`~repro.engine.trace.Tracer`.  The tracer is
         rebound to this engine's telemetry (one counter store per run) and
@@ -87,20 +81,7 @@ class EvaluationEngine:
     def __init__(self, executor: Executor | None = None,
                  cache: EvalCache | None = None,
                  telemetry: Telemetry | None = None,
-                 retry_policy: RetryPolicy | None = None,
-                 fault_injector: FaultInjector | None = None,
                  tracer: Tracer | None = None):
-        if retry_policy is not None or fault_injector is not None:
-            warnings.warn(
-                "passing retry_policy=/fault_injector= to EvaluationEngine "
-                "directly is deprecated; use "
-                "EvaluationEngine.from_config(EngineConfig(...))",
-                DeprecationWarning, stacklevel=2)
-        self._init(executor, cache, telemetry, retry_policy, fault_injector,
-                   tracer)
-
-    def _init(self, executor, cache, telemetry, retry_policy, fault_injector,
-              tracer) -> None:
         self.executor = executor or SerialExecutor()
         self.cache = cache
         if telemetry is None:
@@ -112,26 +93,22 @@ class EvaluationEngine:
             # same counters the engine bumps.
             tracer.telemetry = self.telemetry
         self.config = None
-        if retry_policy is not None:
-            self.executor.retry_policy = retry_policy
-        if fault_injector is not None:
-            self.executor.fault_injector = fault_injector
 
     @classmethod
     def from_config(cls, config=None) -> "EvaluationEngine":
         """Build an engine from an :class:`~repro.engine.config.EngineConfig`.
 
         The one construction path that wires every collaborator —
-        executor, cache, telemetry, resilience layer, tracer — without
-        deprecation warnings.
+        executor, cache, telemetry, resilience layer, tracer.
         """
         from repro.engine.config import EngineConfig
         config = config if config is not None else EngineConfig()
-        engine = cls.__new__(cls)
-        tracer = config.build_tracer(config.telemetry)
-        engine._init(config.build_executor(), config.build_cache(),
-                     config.telemetry, config.retry_policy,
-                     config.fault_injector, tracer)
+        engine = cls(config.build_executor(), config.build_cache(),
+                     config.telemetry, config.build_tracer(config.telemetry))
+        if config.retry_policy is not None:
+            engine.executor.retry_policy = config.retry_policy
+        if config.fault_injector is not None:
+            engine.executor.fault_injector = config.fault_injector
         engine.config = config
         return engine
 
@@ -416,6 +393,21 @@ class EvaluationEngine:
 
     def __exit__(self, *exc) -> None:
         self.close()
+
+
+def flow_engine(engine: EvaluationEngine | None, config,
+                caller: str) -> tuple[EvaluationEngine | None, bool]:
+    """How a flow entry point gets its engine: ``(engine, owned)``.
+
+    ``engine=`` is shared and stays the caller's to close; ``config=``
+    builds an engine that the flow owns and closes.  Passing both is a
+    ``ValueError``.
+    """
+    if engine is not None and config is not None:
+        raise ValueError(f"{caller}: pass engine= or config=, not both")
+    if config is None:
+        return engine, False
+    return EvaluationEngine.from_config(config), True
 
 
 @dataclass

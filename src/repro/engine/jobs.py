@@ -87,7 +87,9 @@ class JobGraph:
         raising a retryable exception (per the policy) is re-run after the
         policy's backoff, counted under ``jobs.retries``.  A fatal
         exception — or a retryable one out of attempts — propagates as
-        before, after a ``jobs.failed`` count.
+        before, after a ``jobs.failed`` count.  It defaults to the
+        engine's policy (``engine.executor.retry_policy``, which
+        ``EngineConfig.retry_policy`` installs).
 
         When the engine carries a :class:`~repro.engine.trace.Tracer`,
         every stage additionally runs inside a span named after the job,
@@ -97,6 +99,8 @@ class JobGraph:
         results = results if results is not None else {}
         tracer = getattr(engine, "tracer", None) if engine is not None \
             else None
+        if retry_policy is None and engine is not None:
+            retry_policy = engine.executor.retry_policy
         for name in self.order():
             job = self.jobs[name]
             if engine is not None:

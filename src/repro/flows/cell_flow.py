@@ -34,9 +34,8 @@ from repro.layout.router import (
     route_placement,
     routed_cell,
 )
-from repro.engine.config import EngineConfig, resolve_flow_engine
-from repro.engine.core import EvaluationEngine
-from repro.engine.faults import RetryPolicy
+from repro.engine.config import EngineConfig
+from repro.engine.core import EvaluationEngine, flow_engine
 from repro.engine.jobs import JobGraph
 from repro.engine.trace import finish_run, span_if
 from repro.opt.anneal import AnnealSchedule
@@ -158,7 +157,6 @@ def _iteration_graph(plan, targets: dict, seed: int) -> JobGraph:
 def design_ota_cell(specs: SpecSet, seed: int = 1,
                     max_iterations: int = 3,
                     engine: EvaluationEngine | None = None,
-                    retry_policy: RetryPolicy | None = None,
                     config: EngineConfig | None = None) -> CellDesign:
     """The full closed loop for the 5-transistor OTA.
 
@@ -167,24 +165,24 @@ def design_ota_cell(specs: SpecSet, seed: int = 1,
     iteration runs as a :class:`repro.engine.JobGraph` (size → layout →
     extract → verify).
 
-    Pass ``config=EngineConfig(...)`` to run through a freshly built
-    engine — with ``trace=True`` the whole flow runs under a ``cell_flow``
-    span (one ``iteration_<n>`` child per resynthesis pass, one
-    grandchild per stage) and the returned design carries the run
-    ``manifest``; with ``trace_dir`` set, ``manifest.json`` +
-    ``trace.jsonl`` are written there.  The legacy ``engine=`` /
-    ``retry_policy=`` kwargs still work (deprecated): per-stage wall
-    times and counters land in the design's ``telemetry``, and a retry
-    policy grants each stage extra attempts on transient failures.
+    Pass a shared ``engine=`` or ``config=EngineConfig(...)`` to build
+    one that the flow closes, not both.  With an engine, per-stage wall
+    times and counters land in the design's ``telemetry``, and the
+    engine's retry policy grants each stage extra attempts on transient
+    failures (:meth:`repro.engine.JobGraph.run`).  With ``trace=True``
+    the whole flow runs under a ``cell_flow`` span (one
+    ``iteration_<n>`` child per resynthesis pass, one grandchild per
+    stage) and the returned design carries the run ``manifest``; with
+    ``trace_dir`` set, ``manifest.json`` + ``trace.jsonl`` are written
+    there.
     """
-    engine, retry_policy, owned = resolve_flow_engine(
-        engine, retry_policy, config, "design_ota_cell")
+    engine, owned = flow_engine(engine, config, "design_ota_cell")
     tracer = getattr(engine, "tracer", None) if engine is not None else None
     status = "ok"
     try:
         with span_if(tracer, "cell_flow"):
             design = _run_cell_loop(specs, seed, max_iterations, engine,
-                                    retry_policy, tracer)
+                                    tracer)
     except BaseException:
         status = "error"
         raise
@@ -201,8 +199,7 @@ def design_ota_cell(specs: SpecSet, seed: int = 1,
 
 
 def _run_cell_loop(specs: SpecSet, seed: int, max_iterations: int,
-                   engine: EvaluationEngine | None,
-                   retry_policy: RetryPolicy | None, tracer) -> CellDesign:
+                   engine: EvaluationEngine | None, tracer) -> CellDesign:
     plan = default_plan_library().get("five_transistor_ota")
     gbw_spec = _required(specs, "gbw")
     gain_spec = _required(specs, "gain", default=50.0)
@@ -223,7 +220,7 @@ def _run_cell_loop(specs: SpecSet, seed: int, max_iterations: int,
         }, seed)
         try:
             with span_if(tracer, f"iteration_{iteration}"):
-                stages = graph.run(engine, retry_policy=retry_policy)
+                stages = graph.run(engine)
         except PlanError as exc:
             raise CellFlowError(f"sizing infeasible: {exc}") from exc
         sizes = stages["size"].sizes

@@ -31,9 +31,8 @@ from repro.msystem.noise_constraints import (
     map_budget_to_segments,
 )
 from repro.msystem.powergrid import RailResult, RailSpec, synthesize_rail
-from repro.engine.config import EngineConfig, resolve_flow_engine
-from repro.engine.core import EvaluationEngine
-from repro.engine.faults import RetryPolicy
+from repro.engine.config import EngineConfig
+from repro.engine.core import EvaluationEngine, flow_engine
 from repro.engine.jobs import JobGraph
 from repro.engine.trace import finish_run, span_if
 from repro.opt.anneal import AnnealSchedule
@@ -134,22 +133,20 @@ def assemble_chip(blocks: list[Block], nets: list[SignalNet],
                   floorplan_schedule: AnnealSchedule | None = None,
                   noise_aware: bool = True,
                   engine: EvaluationEngine | None = None,
-                  retry_policy: RetryPolicy | None = None,
                   config: EngineConfig | None = None) -> ChipPlan:
     """Run the full system-assembly flow.
 
     The stages (floorplan → route → SNR mapping → channels → power) are
-    declared as a :class:`repro.engine.JobGraph`.  Pass
-    ``config=EngineConfig(...)`` to run through a freshly built engine —
-    with ``trace=True`` the stages run under a ``chip_flow`` span and the
-    returned plan carries the run ``manifest`` (written to
-    ``config.trace_dir`` when set).  The legacy ``engine=`` /
-    ``retry_policy=`` kwargs still work (deprecated): per-stage wall
-    times and counters land in the plan's ``telemetry``, and a retry
-    policy grants each stage extra attempts on transient errors.
+    declared as a :class:`repro.engine.JobGraph`.  Pass a shared
+    ``engine=`` or ``config=EngineConfig(...)`` to build one that the
+    flow closes, not both.  With an engine, per-stage wall times and
+    counters land in the plan's ``telemetry``, and the engine's retry
+    policy grants each stage extra attempts on transient errors
+    (:meth:`repro.engine.JobGraph.run`).  With ``trace=True`` the
+    stages run under a ``chip_flow`` span and the returned plan carries
+    the run ``manifest`` (written to ``config.trace_dir`` when set).
     """
-    engine, retry_policy, owned = resolve_flow_engine(
-        engine, retry_policy, config, "assemble_chip")
+    engine, owned = flow_engine(engine, config, "assemble_chip")
     tracer = getattr(engine, "tracer", None) if engine is not None else None
     log: list[str] = []
     schedule = floorplan_schedule or AnnealSchedule(
@@ -179,7 +176,7 @@ def assemble_chip(blocks: list[Block], nets: list[SignalNet],
     status = "ok"
     try:
         with span_if(tracer, "chip_flow"):
-            stages = graph.run(engine, retry_policy=retry_policy)
+            stages = graph.run(engine)
     except BaseException:
         status = "error"
         raise

@@ -102,9 +102,8 @@ class MacroBatcher:
         return [self.evaluator(p) for p in points]
 
 
-def macro_workload(name: str = "macro", batched: bool = True) -> Workload:
+def macro_workload(name: str = "macro") -> Workload:
     """Build the memory-macro serve workload (broker-registrable)."""
     evaluator = MacroEvaluator()
-    batcher = MacroBatcher(evaluator) if batched else None
-    return Workload(name=name, fn=evaluator,
-                    key_fn=evaluator.cache_key, batcher=batcher)
+    return Workload(name=name, fn=evaluator, key_fn=evaluator.cache_key,
+                    batcher=MacroBatcher(evaluator))

@@ -10,10 +10,9 @@ dynamic micro-batching into ``map_evaluate``
 token buckets and bounded queues
 (:class:`~repro.serve.admission.AdmissionController`), per-request
 deadlines and cancellation, client :class:`Session` objects with quotas
-and streaming results, two HTTP facades — thread-per-request
-(:mod:`repro.serve.http`) and asyncio (:mod:`repro.serve.http_async`) —
-a typed :class:`ServeClient` over either, and deterministic
-:func:`replay` of recorded request streams.
+and streaming results, one asyncio HTTP front door
+(:mod:`repro.serve.http_async`), a typed :class:`ServeClient` over it,
+and deterministic :func:`replay` of recorded request streams.
 
 Past one broker, the layer scales *out*: a :class:`ShardRouter`
 consistent-hashes requests onto N broker/engine worker processes
@@ -36,8 +35,11 @@ from repro.serve.admission import (
 from repro.serve.batching import MicroBatcher
 from repro.serve.broker import PRIORITY_CLASSES, Broker, ResultHandle, Workload
 from repro.serve.client import ClientHandle, RemoteEngineError, ServeClient
-from repro.serve.http import ServeApp, ServeServer, make_server
-from repro.serve.http_async import AsyncServeServer, make_async_server
+from repro.serve.http_async import (
+    AsyncServeServer,
+    ServeApp,
+    make_async_server,
+)
 from repro.serve.replay import ReplayReport, replay, result_digest
 from repro.serve.session import Session
 from repro.serve.shard import HashRing, ShardCrashError, ShardRouter
@@ -60,7 +62,6 @@ __all__ = [
     "ServeApp",
     "ServeClient",
     "ServeConfig",
-    "ServeServer",
     "Session",
     "SharedStore",
     "ShardCrashError",
@@ -68,7 +69,6 @@ __all__ = [
     "TokenBucket",
     "Workload",
     "make_async_server",
-    "make_server",
     "replay",
     "result_digest",
 ]

@@ -50,17 +50,13 @@ from typing import Any, Callable
 from repro.engine.config import EngineConfig, ServeConfig
 from repro.engine.core import EvaluationEngine
 from repro.serve.admission import (
-    AdmissionController,
+    PRIORITY_CLASSES,
+    AdmissionLedger,
     DeadlineExpiredError,
-    RejectedError,
     RequestCancelledError,
 )
 from repro.serve.batching import MicroBatcher
 from repro.serve.replay import result_digest
-
-#: Priority classes, highest first.  ``interactive`` is what a designer
-#: sitting at a tool feels; ``batch`` is sweep/characterization traffic.
-PRIORITY_CLASSES = ("interactive", "batch")
 
 
 @dataclass(frozen=True)
@@ -75,11 +71,11 @@ class Workload:
     workload, which is what guarantees one ``fn`` per engine batch.
 
     ``batcher`` (optional) implements the three-member batcher protocol
-    of ``map_evaluate`` (for circuit workloads,
-    :class:`repro.synthesis.simulation_based.BatchEvaluator`): the
-    micro-batches the broker already coalesces then run parent-side
-    per group, with the executor's scalar path re-running any member
-    the batcher declines.
+    of ``map_evaluate`` (for memory macros,
+    :class:`repro.macro.workload.MacroBatcher`, which tiles once per
+    group): the micro-batches the broker already coalesces then run
+    parent-side per group, with the executor's scalar path re-running
+    any member the batcher declines.
     """
 
     name: str
@@ -210,21 +206,24 @@ class Broker:
         self.engine = engine
         self.config = config if config is not None else ServeConfig()
         self.clock = clock
-        self.record_trace = record_trace
         self._owns_engine = owns_engine
-        self._admission = AdmissionController(self.config, clock)
         self._batcher = MicroBatcher(self.config, clock)
         self._workloads: dict[str, Workload] = {}
         self._queues: dict[str, list[_Request]] = {
             cls: [] for cls in PRIORITY_CLASSES}
         self._cond = threading.Condition()
+        self._ledger = AdmissionLedger(self.config, engine.telemetry,
+                                       self._cond, clock, record_trace)
+        # The ledger's public surface, under the broker's own names.
+        self.request_log = self._ledger.request_log
+        self.count_client_reject = self._ledger.count_client_reject
+        self.write_request_trace = self._ledger.write_request_trace
         self._seq = 0
         self._consecutive_interactive = 0
         self._stopped = False
         self._drain_on_stop = True
         self._thread: threading.Thread | None = None
         self._t0 = clock()
-        self.request_log: list[dict] = []
         # Surrogate corpus sidecar: with a corpus_dir configured, every
         # completed keyed request appends its cache key → point mapping,
         # making served traffic harvestable as surrogate training data
@@ -307,39 +306,13 @@ class Broker:
         ``default_deadline_s``.  Rejection is synchronous — a rejected
         request never occupies queue space.
         """
-        if isinstance(workload, Workload):
-            wl = self._workloads.get(workload.name)
-            if wl is None:
-                wl = self.register(workload)
-            elif wl is not workload:
-                raise ValueError(
-                    f"workload name {workload.name!r} already bound to a "
-                    f"different workload")
-        else:
-            wl = self._workloads.get(workload)
-            if wl is None:
-                raise KeyError(f"unknown workload {workload!r}")
-        if priority not in PRIORITY_CLASSES:
-            raise ValueError(f"priority must be one of {PRIORITY_CLASSES}, "
-                             f"got {priority!r}")
-        if deadline_s is None:
-            deadline_s = self.config.default_deadline_s
-        tele = self.engine.telemetry
+        wl, deadline_s = self._ledger.resolve(
+            workload, priority, deadline_s, self._workloads, self.register)
         with self._cond:
-            tele.count("serve.requests")
             now = self.clock()
-            try:
-                if self._stopped:
-                    raise RejectedError("draining", "broker is shutting down")
-                self._admission.admit(client, len(self._queues[priority]))
-            except RejectedError as exc:
-                tele.count("serve.rejected")
-                tele.count(f"serve.rejected.{exc.reason}")
-                self._record(None, outcome="rejected", client=client,
-                             workload=wl.name, priority=priority,
-                             reason=exc.reason)
-                raise
-            tele.count("serve.admitted")
+            self._ledger.admit(
+                client, wl.name, priority, len(self._queues[priority]),
+                "broker is shutting down" if self._stopped else None)
             self._seq += 1
             req = _Request(
                 seq=self._seq, workload=wl, point=point, client=client,
@@ -351,21 +324,6 @@ class Broker:
             self._queues[priority].append(req)
             self._cond.notify_all()
             return req.handle
-
-    def count_client_reject(self, client: str, reason: str,
-                            workload: str | None = None) -> None:
-        """Account a client-side rejection (e.g. session quota).
-
-        Keeps the ``requests == admitted + rejected`` invariant honest
-        for refusals that never reach :meth:`submit`.
-        """
-        tele = self.engine.telemetry
-        with self._cond:
-            tele.count("serve.requests")
-            tele.count("serve.rejected")
-            tele.count(f"serve.rejected.{reason}")
-            self._record(None, outcome="rejected", client=client,
-                         workload=workload, reason=reason)
 
     def _cancel(self, req: _Request) -> bool:
         with self._cond:
@@ -395,19 +353,6 @@ class Broker:
             "queues": depths,
             "workloads": sorted(self._workloads),
         }
-
-    def write_request_trace(self, path) -> None:
-        """Dump the request log as JSONL for :func:`repro.serve.replay`."""
-        import json
-        from pathlib import Path
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with self._cond:
-            records = list(self.request_log)
-        with open(path, "w") as fh:
-            for record in records:
-                fh.write(json.dumps(record, sort_keys=True, default=repr)
-                         + "\n")
 
     # -- dispatcher ----------------------------------------------------
     def _loop(self) -> None:
@@ -501,7 +446,7 @@ class Broker:
                 f"request cancelled (client {req.client!r}, "
                 f"workload {req.workload.name!r})")
         req.handle._fail(outcome, exc)
-        self._record(req, outcome=outcome)
+        self._ledger.record(req, outcome)
 
     def _execute(self, batch: list[_Request], t_assembled: float) -> None:
         """One engine batch for one workload (dispatcher thread only)."""
@@ -530,7 +475,7 @@ class Broker:
                         continue  # already settled and counted elsewhere
                     self.engine.telemetry.count("serve.errored")
                     req.handle._fail("errored", exc)
-                    self._record(req, outcome="errored")
+                    self._ledger.record(req, "errored")
             return
         if span_cm is not None:
             span_cm.__exit__(None, None, None)
@@ -547,8 +492,8 @@ class Broker:
                 tele.count("serve.completed")
                 tele.record_sample("serve.latency_s", t_done - req.t_submit)
                 req.handle._complete(value)
-                self._record(req, outcome="completed",
-                             result_digest=result_digest(value))
+                self._ledger.record(req, "completed",
+                                    result_digest=result_digest(value))
                 completed.append(req)
                 if (self._corpus_index is not None
                         and workload.key_fn is not None
@@ -592,20 +537,3 @@ class Broker:
                          batch_wait_s=batch_wait,
                          execute_s=execute,
                          latency_s=latency)
-
-    # -- request log ---------------------------------------------------
-    def _record(self, req: _Request | None, outcome: str,
-                result_digest: str | None = None, **extra: Any) -> None:
-        if not self.record_trace:
-            return
-        if req is not None:
-            record = {
-                "seq": req.seq, "client": req.client,
-                "workload": req.workload.name, "priority": req.priority,
-                "deadline_s": req.deadline_s, "point": req.point,
-                "outcome": outcome, "result_digest": result_digest,
-            }
-        else:
-            record = {"seq": None, "outcome": outcome,
-                      "result_digest": None, **extra}
-        self.request_log.append(record)

@@ -1,4 +1,4 @@
-"""Typed client for the serve HTTP facades.
+"""Typed client for the serve HTTP front door.
 
 Every consumer of the service so far hand-rolled ``urllib`` JSON calls
 and re-derived the status-code contract; :class:`ServeClient` is the one
@@ -18,9 +18,9 @@ status    wire ``outcome``    raised client-side
 ========  ==================  ======================================
 
 so ``try: client.evaluate(...) except RejectedError:`` reads identically
-whether the broker is in-process or across the wire.  Works against
-both facades — thread-per-request (:mod:`repro.serve.http`) and asyncio
-(:mod:`repro.serve.http_async`) — which the round-trip test pins.
+whether the broker is in-process or across the wire.  It speaks to the
+front door (:mod:`repro.serve.http_async`) over either backend, which
+the round-trip tests pin.
 
 ``submit()`` gives the handle shape (``result`` / ``done`` /
 ``outcome``) over the blocking wire call by parking it on a daemon
@@ -119,7 +119,7 @@ class ServeClient:
     Parameters
     ----------
     url:
-        Base URL of a running facade, e.g. ``server.url``.
+        Base URL of a running front door, e.g. ``server.url``.
     client:
         Client id sent with every request (admission accounting).
     timeout_s:

@@ -1,25 +1,37 @@
-"""Asyncio front door: the same four endpoints, no thread per request.
+"""The HTTP front door: four JSON endpoints on one asyncio event loop.
 
-``ThreadingHTTPServer`` (:mod:`repro.serve.http`) pins one OS thread per
-in-flight connection, which caps a saturated ``/evaluate`` endpoint at
-the thread budget long before the engine saturates.  This facade serves
-the identical wire contract over ``asyncio.start_server``: one event
-loop on one background thread holds *all* in-flight requests, each
-parked on an :class:`asyncio.Future` that the backend resolves through
-``handle.add_done_callback`` → ``loop.call_soon_threadsafe`` — the
-broker/router completion callback is the wake-up, not a blocking wait.
+* ``POST /evaluate`` — ``{"workload": name, "point": ..., "client":,
+  "priority":, "deadline_s":, "timeout_s":}``; waits until the request
+  reaches a terminal state and returns the result (or the structured
+  error).  Admission failures map to **429** with the rejection reason,
+  deadline expiry to **504**, cancellation to **409**, a dispatcher-side
+  engine error to **500** — backpressure is visible in the status code,
+  never a hang or a silent drop.  A request that carries neither
+  ``timeout_s`` nor any deadline is still bounded by the server-side
+  ``ServeConfig.http_max_wait_s`` ceiling (504, ``outcome="pending"``).
+* ``POST /synthesize`` — same contract against the workload named by
+  ``ServeConfig.synthesize_workload`` (the sizing-loop-as-a-service
+  shape); 404 when none is configured.
+* ``GET /healthz`` — liveness plus queue depths and registered
+  workloads.
+* ``GET /metrics`` — the backend's versioned report, i.e. exactly what
+  ``check_report`` validates.
 
-Nothing engine-side changes: submission is the backend's ordinary
-thread-safe ``submit``, and the outcome → status-code mapping is shared
-with the legacy facade (:func:`repro.serve.http.terminal_reply`), so the
-two front doors cannot drift apart.  The HTTP itself is a deliberately
-minimal stdlib HTTP/1.1: request line + headers + Content-Length body,
-keep-alive by default — exactly what the JSON endpoints need and
-nothing more.
+One event loop on one background thread holds *all* in-flight requests,
+each parked on an :class:`asyncio.Future` that the backend resolves
+through ``handle.add_done_callback`` → ``loop.call_soon_threadsafe`` —
+the completion callback is the wake-up, not a blocking wait.  Submission
+is the backend's ordinary thread-safe ``submit``; GETs run on a worker
+thread (``asyncio.to_thread``), because a
+:class:`~repro.serve.shard.ShardRouter`'s ``report()`` asks every shard
+over its pipe and must not stall the requests parked on the loop.
 
-Works over a :class:`~repro.serve.broker.Broker` or a
-:class:`~repro.serve.shard.ShardRouter`; the sharded smoke test and
-benchmark run this front door.
+The HTTP itself is a deliberately minimal stdlib HTTP/1.1: request line
++ headers + Content-Length body, keep-alive by default — exactly what
+the JSON endpoints need and nothing more.  Works over a
+:class:`~repro.serve.broker.Broker` or a
+:class:`~repro.serve.shard.ShardRouter`; the app only touches their
+common surface.
 """
 
 from __future__ import annotations
@@ -29,12 +41,11 @@ import json
 import threading
 from typing import Any
 
-from repro.serve.admission import RejectedError
-from repro.serve.http import (
-    ServeApp,
-    _json_safe,  # noqa: F401  (re-exported for symmetry in tests)
-    resolve_server_settings,
-    terminal_reply,
+from repro.engine.faults import is_failure
+from repro.serve.admission import (
+    DeadlineExpiredError,
+    RejectedError,
+    RequestCancelledError,
 )
 
 _REASONS = {200: "OK", 400: "Bad Request", 404: "Not Found",
@@ -42,22 +53,49 @@ _REASONS = {200: "OK", 400: "Bad Request", 404: "Not Found",
             500: "Internal Server Error", 504: "Gateway Timeout"}
 
 
-class AsyncServeApp:
-    """Async request routing over the sync :class:`ServeApp` contract.
+def _json_safe(value: Any) -> Any:
+    if is_failure(value):
+        return {"eval_failure": value.as_dict()}
+    return value
 
-    GETs are answered inline (report/healthz are quick, lock-bounded
-    reads); POSTs submit synchronously — admission is deliberately a
-    fast, synchronous refusal — then await the handle without blocking
-    the loop.
+
+def terminal_reply(handle: Any) -> tuple[int, dict]:
+    """Map a *done* handle onto its ``(status, payload)`` wire shape.
+
+    504 for deadline expiry, 409 for cancellation, 500 for a
+    dispatcher-side engine error, 200 with the (JSON-safe) result
+    otherwise.
+    """
+    try:
+        value = handle.result(timeout=0)
+    except DeadlineExpiredError as exc:
+        return 504, {"error": str(exc), "outcome": "expired"}
+    except RequestCancelledError as exc:
+        return 409, {"error": str(exc), "outcome": "cancelled"}
+    except Exception as exc:
+        # The dispatcher failed the batch with the engine's own
+        # exception (handle.outcome == "errored").
+        return 500, {"error": str(exc), "outcome": "errored"}
+    return 200, {"outcome": "completed", "result": _json_safe(value)}
+
+
+class ServeApp:
+    """Routes HTTP requests onto a started backend.
+
+    POSTs submit synchronously — admission is deliberately a fast,
+    synchronous refusal — then await the handle without blocking the
+    loop.  ``POST /synthesize`` runs the backend's
+    ``config.synthesize_workload``.
     """
 
-    def __init__(self, app: ServeApp):
-        self.app = app
+    def __init__(self, backend: Any):
+        self.backend = backend
+        self.synthesize_workload = backend.config.synthesize_workload
 
     async def handle(self, method: str, path: str,
                      body: bytes) -> tuple[int, dict]:
         if method == "GET":
-            return self.app.handle_get(path)
+            return await asyncio.to_thread(self._get, path)
         if method != "POST":
             return 400, {"error": f"unsupported method {method!r}"}
         try:
@@ -72,18 +110,25 @@ class AsyncServeApp:
                 return 400, {"error": "body must name a 'workload'"}
             return await self._run(workload, payload)
         if path == "/synthesize":
-            if self.app.synthesize_workload is None:
+            if self.synthesize_workload is None:
                 return 404, {"error": "no synthesis workload configured"}
-            return await self._run(self.app.synthesize_workload, payload)
+            return await self._run(self.synthesize_workload, payload)
+        return 404, {"error": f"unknown path {path!r}"}
+
+    def _get(self, path: str) -> tuple[int, dict]:
+        if path == "/healthz":
+            return 200, self.backend.healthz()
+        if path == "/metrics":
+            return 200, self.backend.report()
         return 404, {"error": f"unknown path {path!r}"}
 
     async def _run(self, workload: str, body: dict) -> tuple[int, dict]:
-        broker = self.app.broker
+        backend = self.backend
         if "point" not in body:
             return 400, {"error": "body must carry a 'point'"}
         deadline_s = body.get("deadline_s")
         try:
-            handle = broker.submit(
+            handle = backend.submit(
                 workload, body["point"],
                 client=str(body.get("client", "http")),
                 priority=str(body.get("priority", "interactive")),
@@ -94,8 +139,8 @@ class AsyncServeApp:
             return 400, {"error": str(exc)}
         timeout = body.get("timeout_s")
         if (timeout is None and deadline_s is None
-                and broker.config.default_deadline_s is None):
-            timeout = broker.config.http_max_wait_s
+                and backend.config.default_deadline_s is None):
+            timeout = backend.config.http_max_wait_s
         loop = asyncio.get_running_loop()
         done: asyncio.Future = loop.create_future()
 
@@ -128,16 +173,15 @@ class AsyncServeApp:
 class AsyncServeServer:
     """Owns the event loop thread and the asyncio listener.
 
-    Same lifecycle surface as :class:`~repro.serve.http.ServeServer`
-    (``start`` / ``close`` / ``address`` / ``url`` / context manager) so
-    tests and scripts can swap facades with one constructor change.
-    ``port=0`` binds an ephemeral port, read back from ``address``.
+    Context manager for tests and CLIs.  ``port=0`` binds an ephemeral
+    port, read back from ``address``.  The server does not own the
+    backend — close both, backend last, so in-flight requests drain
+    before the engine goes away.
     """
 
     def __init__(self, app: ServeApp, host: str = "127.0.0.1",
                  port: int = 0):
         self.app = app
-        self._async_app = AsyncServeApp(app)
         self._host = host
         self._port = port
         self._loop: asyncio.AbstractEventLoop | None = None
@@ -208,6 +252,8 @@ class AsyncServeServer:
         if pending:
             self._loop.run_until_complete(
                 asyncio.gather(*pending, return_exceptions=True))
+        # A GET may still be running on the default executor's threads.
+        self._loop.run_until_complete(self._loop.shutdown_default_executor())
 
     async def _serve_connection(self, reader: asyncio.StreamReader,
                                 writer: asyncio.StreamWriter) -> None:
@@ -227,20 +273,22 @@ class AsyncServeServer:
                         break
                     name, _, value = line.decode("latin-1").partition(":")
                     headers[name.strip().lower()] = value.strip()
-                length = int(headers.get("content-length", 0) or 0)
+                raw_length = headers.get("content-length") or "0"
+                try:
+                    length = int(raw_length)
+                except ValueError:
+                    length = -1
+                if length < 0:
+                    # No trustworthy body framing: answer, then close.
+                    await self._reply(writer, 400, {
+                        "error": f"invalid Content-Length {raw_length!r}"},
+                        close=True)
+                    return
                 body = await reader.readexactly(length) if length else b""
-                status, payload = await self._async_app.handle(
-                    method, path, body)
-                data = json.dumps(payload, sort_keys=True,
-                                  default=repr).encode()
-                head = (f"HTTP/1.1 {status} "
-                        f"{_REASONS.get(status, 'Unknown')}\r\n"
-                        f"Content-Type: application/json\r\n"
-                        f"Content-Length: {len(data)}\r\n"
-                        f"Connection: keep-alive\r\n\r\n")
-                writer.write(head.encode("latin-1") + data)
-                await writer.drain()
-                if headers.get("connection", "").lower() == "close":
+                status, payload = await self.app.handle(method, path, body)
+                close = headers.get("connection", "").lower() == "close"
+                await self._reply(writer, status, payload, close=close)
+                if close:
                     return
         except (asyncio.IncompleteReadError, ConnectionError,
                 asyncio.CancelledError):
@@ -252,19 +300,25 @@ class AsyncServeServer:
             except (ConnectionError, asyncio.CancelledError):
                 pass
 
+    @staticmethod
+    async def _reply(writer: asyncio.StreamWriter, status: int,
+                     payload: dict, close: bool) -> None:
+        data = json.dumps(payload, sort_keys=True, default=repr).encode()
+        head = (f"HTTP/1.1 {status} {_REASONS.get(status, 'Unknown')}\r\n"
+                f"Content-Type: application/json\r\n"
+                f"Content-Length: {len(data)}\r\n"
+                f"Connection: {'close' if close else 'keep-alive'}\r\n\r\n")
+        writer.write(head.encode("latin-1") + data)
+        await writer.drain()
 
-def make_async_server(broker: Any, host: str | None = None,
-                      port: int | None = None,
-                      synthesize_workload: str | None = None
-                      ) -> AsyncServeServer:
-    """Asyncio twin of :func:`repro.serve.http.make_server`.
 
-    Settings come from the backend's :class:`ServeConfig`
-    (``http_host`` / ``http_port`` / ``synthesize_workload``); the
-    explicit kwargs are the deprecated legacy spelling, with the same
-    both-at-once ``ValueError`` as the sync facade.
+def make_async_server(backend: Any) -> AsyncServeServer:
+    """Wrap a started backend in a ready-to-start front door.
+
+    Host, port and the ``/synthesize`` workload come from the backend's
+    :class:`~repro.engine.config.ServeConfig` (``http_host`` /
+    ``http_port`` / ``synthesize_workload``).
     """
-    host, port, synthesize_workload = resolve_server_settings(
-        broker, host, port, synthesize_workload, "make_async_server")
-    return AsyncServeServer(ServeApp(broker, synthesize_workload),
-                            host, port)
+    config = backend.config
+    return AsyncServeServer(ServeApp(backend), config.http_host,
+                            config.http_port)

@@ -74,8 +74,12 @@ from repro.engine.schema import (
     topogen_rollup,
 )
 from repro.engine.telemetry import Telemetry
-from repro.serve.admission import AdmissionController, RejectedError
-from repro.serve.broker import PRIORITY_CLASSES, Broker, ResultHandle, Workload
+from repro.serve.admission import (
+    PRIORITY_CLASSES,
+    AdmissionLedger,
+    RejectedError,
+)
+from repro.serve.broker import Broker, ResultHandle, Workload
 from repro.serve.replay import result_digest
 from repro.serve.store import SharedStore
 
@@ -280,7 +284,7 @@ class _RouterRequest:
 class ShardRouter:
     """Consistent-hash fleet of broker processes behind one submit surface.
 
-    Drop-in for a :class:`Broker` wherever the serving facades need a
+    Drop-in for a :class:`Broker` wherever the front door needs a
     backend: ``register`` / ``start`` / ``submit`` / ``healthz`` /
     ``report`` / ``request_log`` / ``write_request_trace`` / ``close``
     all exist with the same contracts, and ``submit`` returns the same
@@ -317,7 +321,6 @@ class ShardRouter:
             serve = replace(serve, shards=shards)
         self.config = serve
         self.clock = clock
-        self.record_trace = record_trace
         self.max_restarts = max_restarts
         # Shards never re-run admission: the router admitted fleet-wide,
         # so the shard queue bound only guards against router bugs (with
@@ -338,7 +341,11 @@ class ShardRouter:
         self._ring = HashRing(range(serve.shards))
         self._cond = threading.Condition()
         self._telemetry = Telemetry()
-        self._admission = AdmissionController(serve, clock)
+        self._ledger = AdmissionLedger(serve, self._telemetry, self._cond,
+                                       clock, record_trace, shard_key=True)
+        self.request_log = self._ledger.request_log
+        self.count_client_reject = self._ledger.count_client_reject
+        self.write_request_trace = self._ledger.write_request_trace
         self._workloads: dict[str, Workload] = {}
         self._inflight: dict[int, _RouterRequest] = {}
         self._depths = {cls: 0 for cls in PRIORITY_CLASSES}
@@ -348,7 +355,6 @@ class ShardRouter:
         self._closed = False
         self._t0 = clock()
         self._ask_lock = threading.Lock()
-        self.request_log: list[dict] = []
 
     @classmethod
     def from_config(cls, config: EngineConfig | None = None,
@@ -429,42 +435,18 @@ class ShardRouter:
                deadline_s: float | None = None) -> ResultHandle:
         """Admit and route one request; same contract as
         :meth:`Broker.submit` (fleet-wide admission, consistent-hash
-        placement)."""
-        if isinstance(workload, Workload):
-            wl = self._workloads.get(workload.name)
-            if wl is None:
-                wl = self.register(workload)  # raises once started
-            elif wl is not workload:
-                raise ValueError(
-                    f"workload name {workload.name!r} already bound to a "
-                    f"different workload")
-            name = wl.name
-        else:
-            if workload not in self._workloads:
-                raise KeyError(f"unknown workload {workload!r}")
-            name = workload
-        if priority not in PRIORITY_CLASSES:
-            raise ValueError(f"priority must be one of {PRIORITY_CLASSES}, "
-                             f"got {priority!r}")
-        if deadline_s is None:
-            deadline_s = self.config.default_deadline_s
+        placement).  Registering a new workload here raises once
+        started."""
+        wl, deadline_s = self._ledger.resolve(
+            workload, priority, deadline_s, self._workloads, self.register)
+        name = wl.name
         digest = route_key(name, point)
         with self._cond:
             if not self._started:
                 raise RuntimeError("ShardRouter.submit() before start()")
-            self._telemetry.count("serve.requests")
-            try:
-                if self._stopped:
-                    raise RejectedError("draining", "router is shutting down")
-                self._admission.admit(client, self._inflight_depth(priority))
-            except RejectedError as exc:
-                self._telemetry.count("serve.rejected")
-                self._telemetry.count(f"serve.rejected.{exc.reason}")
-                self._record(None, outcome="rejected", client=client,
-                             workload=name, priority=priority,
-                             reason=exc.reason)
-                raise
-            self._telemetry.count("serve.admitted")
+            self._ledger.admit(
+                client, name, priority, self._inflight_depth(priority),
+                "router is shutting down" if self._stopped else None)
             self._seq += 1
             rec = _RouterRequest(
                 seq=self._seq, workload=name, point=point, client=client,
@@ -475,16 +457,6 @@ class ShardRouter:
             self._depths[priority] += 1
             self._dispatch(rec, exclude=frozenset())
             return rec.handle
-
-    def count_client_reject(self, client: str, reason: str,
-                            workload: str | None = None) -> None:
-        """Same contract as :meth:`Broker.count_client_reject`."""
-        with self._cond:
-            self._telemetry.count("serve.requests")
-            self._telemetry.count("serve.rejected")
-            self._telemetry.count(f"serve.rejected.{reason}")
-            self._record(None, outcome="rejected", client=client,
-                         workload=workload, reason=reason)
 
     def _cancel(self, rec: _RouterRequest) -> bool:
         """Best-effort cancel: True means the cancel reached the wire."""
@@ -595,20 +567,6 @@ class ShardRouter:
         merged["disk_dir"] = str(self.store.root) if self.store else None
         return merged
 
-    def write_request_trace(self, path) -> None:
-        """Dump the router's request log as JSONL (replay-compatible;
-        each record additionally names the shard that settled it)."""
-        import json
-        from pathlib import Path
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with self._cond:
-            records = list(self.request_log)
-        with open(path, "w") as fh:
-            for record in records:
-                fh.write(json.dumps(record, sort_keys=True, default=repr)
-                         + "\n")
-
     # -- internals: routing and settling (lock held) -------------------
     def _inflight_depth(self, priority: str) -> int:
         # Maintained incrementally at admit/settle: the admission gate
@@ -658,8 +616,8 @@ class ShardRouter:
                 self._telemetry.record_sample(
                     "serve.latency_s", self.clock() - rec.t_submit)
                 shard.counters["completed"] += 1
-                self._record(rec, outcome="completed", result_digest=digest,
-                             shard=shard.id)
+                self._ledger.record(rec, "completed", result_digest=digest,
+                                    shard=shard.id)
                 rec.handle._complete(payload)
                 return
             # "rejected" only happens when a shard second-guesses the
@@ -672,7 +630,7 @@ class ShardRouter:
             shard.counters[lane] += 1
             exc = payload if isinstance(payload, BaseException) \
                 else RuntimeError(f"shard {shard.id}: {payload!r}")
-            self._record(rec, outcome=lane, shard=shard.id)
+            self._ledger.record(rec, lane, shard=shard.id)
             rec.handle._fail(lane, exc)
 
     def _settle_local(self, rec: _RouterRequest, lane: str,
@@ -685,8 +643,7 @@ class ShardRouter:
         self._telemetry.count(f"serve.{lane}")
         if rec.shard is not None:
             self._shards[rec.shard].counters[lane] += 1
-        self._record(rec, outcome=lane,
-                     shard=rec.shard if rec.shard is not None else None)
+        self._ledger.record(rec, lane, shard=rec.shard)
         rec.handle._fail(lane, exc)
 
     # -- internals: supervision ----------------------------------------
@@ -769,22 +726,3 @@ class ShardRouter:
                 except queue.Empty:
                     pass
             return shard.last_report
-
-    # -- request log ---------------------------------------------------
-    def _record(self, rec: _RouterRequest | None, outcome: str,
-                result_digest: str | None = None,
-                shard: int | None = None, **extra: Any) -> None:
-        if not self.record_trace:
-            return
-        if rec is not None:
-            record = {
-                "seq": rec.seq, "client": rec.client,
-                "workload": rec.workload, "priority": rec.priority,
-                "deadline_s": rec.deadline_s, "point": rec.point,
-                "outcome": outcome, "result_digest": result_digest,
-                "shard": shard,
-            }
-        else:
-            record = {"seq": None, "outcome": outcome,
-                      "result_digest": None, "shard": shard, **extra}
-        self.request_log.append(record)

@@ -37,7 +37,6 @@ from repro.synthesis.compose.prune import (
     rank_structures,
 )
 from repro.synthesis.compose.workload import (
-    GeneratedSpaceBatcher,
     GeneratedSpaceEvaluator,
     topogen_workload,
 )
@@ -47,7 +46,6 @@ __all__ = [
     "ComposedTopology",
     "FIXED",
     "FunnelResult",
-    "GeneratedSpaceBatcher",
     "GeneratedSpaceEvaluator",
     "REGISTRIES",
     "ROLES",

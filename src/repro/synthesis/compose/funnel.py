@@ -10,9 +10,9 @@
    ``topology.interval_unproven``);
 4. **rank** the survivors symbolically (:mod:`.prune`) and keep the
    top-k — a ≥ 5× cut of the sized set by default;
-5. **size** each survivor through :class:`SimulationBasedSizer` with the
-   batched evaluation path and optional surrogate screening enabled, and
-   pick the best sized design NaN-safely.
+5. **size** each survivor through :class:`SimulationBasedSizer` on the
+   funnel's engine, with optional surrogate screening, and pick the
+   best sized design NaN-safely.
 
 Progress is counted on the engine's telemetry under ``topogen.*`` and
 rolled into report schema v8 / manifest v7.
@@ -20,12 +20,11 @@ rolled into report schema v8 / manifest v7.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 from repro.core.specs import SpecSet
 from repro.engine.config import EngineConfig
-from repro.engine.core import EvaluationEngine
+from repro.engine.core import EvaluationEngine, flow_engine
 from repro.engine.trace import span_if
 from repro.opt.anneal import AnnealSchedule
 from repro.synthesis.compose.generator import (
@@ -97,19 +96,12 @@ class TopologyFunnel:
                  prune_tol: float = 0.05,
                  schedule: AnnealSchedule | None = None,
                  batch_size: int = 8,
-                 batch_kernel: bool | None = None,
                  surrogate=None):
         self.specs = specs
-        if engine is not None and config is not None:
-            raise ValueError("TopologyFunnel: pass engine= or config=, "
-                             "not both")
-        if engine is None:
-            config = config if config is not None else EngineConfig()
-            engine = EvaluationEngine.from_config(config)
-            self._owns_engine = True
-        else:
-            self._owns_engine = False
-        self.engine = engine
+        if engine is None and config is None:
+            config = EngineConfig()
+        self.engine, self._owns_engine = flow_engine(engine, config,
+                                                     "TopologyFunnel")
         self.seed = seed
         self.sample = sample
         self.keep = keep
@@ -121,10 +113,6 @@ class TopologyFunnel:
         self.schedule = schedule or AnnealSchedule(
             moves_per_temperature=16, cooling=0.7, max_evaluations=160)
         self.batch_size = batch_size
-        if batch_kernel is None:
-            batch_kernel = bool(config.batch_kernel) \
-                if config is not None else True
-        self.batch_kernel = batch_kernel
         if surrogate is None and config is not None:
             surrogate = config.surrogate
         self.surrogate = surrogate
@@ -192,16 +180,13 @@ class TopologyFunnel:
             evaluator = SimulationEvaluator(
                 builder=StructureBuilder(topo), input_bias=INPUT_BIAS,
                 telemetry=telemetry)
-            with warnings.catch_warnings():
-                # The shared engine is deliberate here: one telemetry,
-                # one cache, one tracer across every survivor's sizing.
-                warnings.simplefilter("ignore", DeprecationWarning)
-                sizer = SimulationBasedSizer(
-                    evaluator, topo.space, self.specs,
-                    schedule=self.schedule, seed=self.seed,
-                    engine=self.engine, batch_size=self.batch_size,
-                    surrogate=self.surrogate,
-                    batch_kernel=self.batch_kernel)
+            # One shared engine: one telemetry, one cache, one tracer
+            # across every survivor's sizing.
+            sizer = SimulationBasedSizer(
+                evaluator, topo.space, self.specs,
+                schedule=self.schedule, seed=self.seed,
+                engine=self.engine, batch_size=self.batch_size,
+                surrogate=self.surrogate)
             sizing = sizer.run(x0=self._x0(topo))
             telemetry.count("topogen.sized")
             selection = TopologySelectionResult(

@@ -8,10 +8,7 @@ router spreads structures over shards while the content-addressed cache
 collapses repeated sizings fleet-wide.
 
 :class:`GeneratedSpaceEvaluator` routes each point to a lazily-built
-per-structure :class:`SimulationEvaluator`;
-:class:`GeneratedSpaceBatcher` buckets cache misses by structure id so
-same-structure requests run through one
-:class:`~repro.synthesis.simulation_based.BatchEvaluator` per group.
+per-structure :class:`SimulationEvaluator`.
 """
 
 from __future__ import annotations
@@ -23,10 +20,7 @@ from repro.synthesis.compose.generator import (
     INPUT_BIAS,
     generate_topologies,
 )
-from repro.synthesis.simulation_based import (
-    BatchEvaluator,
-    SimulationEvaluator,
-)
+from repro.synthesis.simulation_based import SimulationEvaluator
 
 
 class GeneratedSpaceEvaluator:
@@ -75,37 +69,8 @@ class GeneratedSpaceEvaluator:
         return canonical_key("topogen", structure_id, ev.cache_key(sizes))
 
 
-class GeneratedSpaceBatcher:
-    """Same-structure batching over mixed-structure point streams."""
-
-    min_batch: int = 2
-
-    def __init__(self, evaluator: GeneratedSpaceEvaluator):
-        self.evaluator = evaluator
-
-    def group(self, points: list[dict]) -> list[list[int]]:
-        groups: dict[str, list[int]] = {}
-        for i, point in enumerate(points):
-            try:
-                structure_id, _ = self.evaluator._split(point)
-                if structure_id not in self.evaluator._by_id:
-                    raise KeyError(structure_id)
-            except (ValueError, KeyError):
-                structure_id = f"__invalid__:{i}"
-            groups.setdefault(structure_id, []).append(i)
-        return list(groups.values())
-
-    def evaluate(self, points: list[dict]) -> list:
-        structure_id, _ = self.evaluator._split(points[0])
-        inner = BatchEvaluator(self.evaluator.evaluator_for(structure_id))
-        return inner.evaluate([p["sizes"] for p in points])
-
-
 def topogen_workload(topologies: list[ComposedTopology] | None = None,
-                     name: str = "topogen",
-                     batched: bool = True) -> Workload:
+                     name: str = "topogen") -> Workload:
     """Build the generated-space serve workload (broker-registrable)."""
     evaluator = GeneratedSpaceEvaluator(topologies)
-    batcher = GeneratedSpaceBatcher(evaluator) if batched else None
-    return Workload(name=name, fn=evaluator,
-                    key_fn=evaluator.cache_key, batcher=batcher)
+    return Workload(name=name, fn=evaluator, key_fn=evaluator.cache_key)

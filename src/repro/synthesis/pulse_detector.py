@@ -290,7 +290,7 @@ def build_pulse_detector_circuit(design: PulseDetectorDesign,
 
 
 # ----------------------------------------------------------------------
-# Transistor-level CSA sizing through the engine's batcher path
+# Transistor-level CSA sizing by simulation through the engine
 # ----------------------------------------------------------------------
 
 CSA_SIM_SPACE_VARIABLES = {
@@ -326,18 +326,12 @@ def csa_sim_specs() -> SpecSet:
 
 def synthesize_csa_batched(seed: int = 7,
                            schedule: AnnealSchedule | None = None,
-                           batch_kernel: bool = True,
                            batch_size: int = 6) -> SizingResult:
     """Size the CSA by simulation, each point a DC + stacked AC sweep.
 
-    With ``batch_kernel=True`` the engine hands each annealing batch's
-    cache misses to a
-    :class:`~repro.synthesis.simulation_based.BatchEvaluator`, which runs
-    them through the same per-point code as the ``batch_kernel=False``
-    executor path.  The trajectory is pinned in
-    ``tests/golden/pulse_detector.json`` under ``batched_sizing`` — by
-    construction it is *identical* for both settings, so the golden also
-    guards the batched≡scalar contract at the whole-flow level.
+    The annealer proposes ``batch_size`` moves at a time and the engine
+    evaluates each batch's cache misses.  The trajectory is pinned in
+    ``tests/golden/pulse_detector.json`` under ``batched_sizing``.
     """
     from repro.circuits.library import CSA_DEFAULTS
     from repro.engine.config import EngineConfig
@@ -358,8 +352,7 @@ def synthesize_csa_batched(seed: int = 7,
     sizer = SimulationBasedSizer(
         evaluator, space, csa_sim_specs(), schedule=schedule, seed=seed,
         batch_size=batch_size,
-        config=EngineConfig(cache=True, trace=True,
-                            batch_kernel=batch_kernel))
+        config=EngineConfig(cache=True, trace=True))
     return sizer.run()
 
 
@@ -429,8 +422,7 @@ def pulse_detector_flow(seed: int = 1,
 
     try:
         with span_if(engine.tracer, "pulse_detector_flow"):
-            results = graph.run(engine=engine,
-                                retry_policy=config.retry_policy)
+            results = graph.run(engine=engine)
     except (ConvergenceError, SingularCircuitError):
         # Domain failures of the synthesize/verify stages get an
         # error-status manifest; anything else is a programming error

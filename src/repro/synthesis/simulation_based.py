@@ -31,8 +31,8 @@ from repro.analysis.noise import noise_analysis
 from repro.circuits.netlist import Circuit
 from repro.core.specs import SpecSet
 from repro.engine.cache import EvalCache, canonical_key
-from repro.engine.config import EngineConfig, resolve_flow_engine
-from repro.engine.core import BATCH_FALLBACK, EvaluationEngine
+from repro.engine.config import EngineConfig
+from repro.engine.core import EvaluationEngine, flow_engine
 from repro.engine.faults import is_failure
 from repro.engine.telemetry import Telemetry
 from repro.engine.trace import span_if
@@ -41,8 +41,8 @@ from repro.synthesis.equation_based import DesignSpace, SizingResult
 
 CircuitBuilder = Callable[[dict[str, float]], Circuit]
 
-#: Failures of one simulated point: the scalar path records them, and
-#: :class:`BatchEvaluator` hands the point back to that path.
+#: Failures of one simulated point; :meth:`SimulationEvaluator.simulate`
+#: records them.
 SIMULATION_ERRORS = (ConvergenceError, SingularCircuitError, ValueError,
                      KeyError)
 
@@ -151,7 +151,7 @@ class SimulationEvaluator:
         metrics; raises on failure.
 
         With :meth:`_performance` this is the one per-point simulation
-        path: :meth:`simulate` and :class:`BatchEvaluator` both run it.
+        path, which :meth:`simulate` runs.
         """
         circuit = self.build_testbench(sizes)
         op = dc_operating_point(circuit)
@@ -182,49 +182,6 @@ class SimulationEvaluator:
 
 
 @dataclass
-class BatchEvaluator:
-    """Batcher for :class:`SimulationEvaluator` cache misses.
-
-    Satisfies the three-member batcher protocol of
-    :meth:`repro.engine.EvaluationEngine.map_evaluate`.  ``group``
-    returns every point as one group, and ``evaluate`` runs each member
-    through the per-point code of :meth:`SimulationEvaluator.simulate`,
-    whose AC sweep already solves all its frequencies in one stacked
-    call.  Batched and scalar evaluation agree bit for bit because they
-    share that one code path.
-
-    A member that fails (unbuildable sizing, non-convergent or singular
-    DC, a metric-extraction error) is returned as
-    :data:`~repro.engine.core.BATCH_FALLBACK`, so the engine re-runs it
-    through the ordinary scalar executor path with identical failure
-    counting, retry and record semantics.
-    """
-
-    evaluator: SimulationEvaluator
-    min_batch: int = 2
-
-    def group(self, points: list[dict[str, float]]) -> list[list[int]]:
-        return [list(range(len(points)))] if points else []
-
-    def evaluate(self, points: list[dict[str, float]]) -> list:
-        ev = self.evaluator
-        results: list = []
-        for sizes in points:
-            try:
-                performance = ev._performance(*ev._solve(sizes))
-            except SIMULATION_ERRORS:
-                # The scalar re-run owns the failure record.
-                results.append(BATCH_FALLBACK)
-                continue
-            results.append(performance)
-            if ev.telemetry is not None:
-                # One batched member == one simulator run; fallback
-                # members are counted by the scalar re-run instead.
-                ev.telemetry.count("simulator.calls")
-        return results
-
-
-@dataclass
 class _EngineBatch:
     """Batch-evaluation hook routing annealer states through the engine.
 
@@ -245,9 +202,6 @@ class _EngineBatch:
     # every successful evaluation, which is what lets a later run harvest
     # this run's disk cache as surrogate training data.
     corpus_index: object | None = None
-    # Optional BatchEvaluator: evaluates cache misses parent-side
-    # instead of through per-point executor dispatch.
-    batcher: object | None = None
 
     def _sizes(self, x) -> dict[str, float]:
         point = {n: float(v) for n, v in zip(self.names, x)}
@@ -256,8 +210,7 @@ class _EngineBatch:
     def map_evaluate(self, _fn, states) -> list[float]:
         points = [self._sizes(x) for x in states]
         perfs = self.engine.map_evaluate(self.evaluator.simulate, points,
-                                         key_fn=self.evaluator.cache_key,
-                                         batcher=self.batcher)
+                                         key_fn=self.evaluator.cache_key)
         if self.corpus_index is not None:
             for point, perf in zip(points, perfs):
                 if not is_failure(perf):
@@ -274,7 +227,7 @@ class _EngineBatch:
 class SimulationBasedSizer:
     """FRIDGE: full simulation inside the annealing loop.
 
-    With an ``engine``, annealing moves are proposed in batches of
+    With an engine, annealing moves are proposed in batches of
     ``batch_size`` and evaluated through
     :meth:`repro.engine.EvaluationEngine.map_evaluate` — cached, counted,
     and (with a :class:`repro.engine.ParallelExecutor`) fanned out over
@@ -293,12 +246,9 @@ class SimulationBasedSizer:
     grown corpus there after the run.  The final reported sizing is
     always re-measured with a real simulation, screened or not.
 
-    ``batch_kernel=True`` (or ``EngineConfig(batch_kernel=True)``)
-    routes cache misses through a :class:`BatchEvaluator`, which runs
-    each member of an annealing batch parent-side through the same
-    per-point code as the scalar path, with scalar re-runs for members
-    that fail.  Both settings give bit-identical results; ``kernel.*``
-    counters in ``engine.report()`` show the batched/scalar split.
+    The engine comes from ``engine=`` (shared; the caller closes it) or
+    from ``config=`` (built here and closed after :meth:`run`), not
+    both.  With neither, the evaluator is called directly.
     """
 
     def __init__(self, evaluator: Callable[[dict[str, float]], dict[str, float]],
@@ -308,8 +258,7 @@ class SimulationBasedSizer:
                  batch_size: int = 1,
                  max_failure_fraction: float = 0.5,
                  config: EngineConfig | None = None,
-                 surrogate=None,
-                 batch_kernel: bool | None = None):
+                 surrogate=None):
         self.evaluator = evaluator
         self.space = space
         self.specs = specs
@@ -317,17 +266,12 @@ class SimulationBasedSizer:
         self.schedule = schedule or AnnealSchedule(
             moves_per_temperature=30, cooling=0.8, max_evaluations=2000)
         self.seed = seed
-        engine, _, self._owns_engine = resolve_flow_engine(
-            engine, None, config, "SimulationBasedSizer")
-        self.engine = engine
+        self.engine, self._owns_engine = flow_engine(
+            engine, config, "SimulationBasedSizer")
         self.config = config
         if surrogate is None and config is not None:
             surrogate = config.surrogate
         self.surrogate = surrogate
-        if batch_kernel is None:
-            batch_kernel = bool(config.batch_kernel) \
-                if config is not None else False
-        self.batch_kernel = bool(batch_kernel)
         self.batch_size = batch_size
         self.evaluations = 0
         # Tolerated fraction of failed evaluations before the run itself
@@ -399,12 +343,9 @@ class SimulationBasedSizer:
                 raise TypeError(
                     "engine-backed sizing needs a SimulationEvaluator "
                     "(it provides simulate() and cache_key())")
-            batcher = BatchEvaluator(self.evaluator) \
-                if self.batch_kernel else None
             executor = _EngineBatch(self.engine, self.evaluator,
                                     self.space, cont.names, self.specs,
-                                    corpus_index=corpus_index,
-                                    batcher=batcher)
+                                    corpus_index=corpus_index)
             failures_before = self.engine.failure_count()
         tracer = getattr(self.engine, "tracer", None) \
             if self.engine is not None else None

@@ -1,13 +1,12 @@
 """Differential conformance harness for batched evaluation.
 
-The batched path (the engine's ``batcher`` hook with
-:class:`~repro.synthesis.simulation_based.BatchEvaluator`) must be
-*indistinguishable* from the scalar path everywhere a user can observe:
-results, cache keys, netlists, failure records, span-tree shapes and
-manifest digests.  This file is the gate — every cell of the
+The batched path (the engine's ``batcher`` hook, driven here by the
+small :class:`OneGroupBatcher`) must be *indistinguishable* from the
+scalar path everywhere a user can observe: results, cache keys,
+netlists, failure records, span-tree shapes and manifest digests.  This
+file is the gate — every cell of the
 
-    seed x topology x {scalar, batched} x {serial, parallel}
-         x {fault, no-fault} x {surrogate on, off}
+    seed x {scalar, batched} x {serial, parallel} x {fault, no-fault}
 
 matrix runs both paths and cross-checks them.
 
@@ -43,6 +42,7 @@ from repro.circuits.library import (
 )
 from repro.circuits.netlist import Circuit
 from repro.engine import (
+    BATCH_FALLBACK,
     EngineConfig,
     EvalCache,
     EvaluationEngine,
@@ -59,7 +59,7 @@ from repro.serve import Broker, Workload
 from repro.core.specs import Spec, SpecSet
 from repro.synthesis import DesignSpace
 from repro.synthesis.simulation_based import (
-    BatchEvaluator,
+    SIMULATION_ERRORS,
     SimulationBasedSizer,
     SimulationEvaluator,
 )
@@ -282,6 +282,32 @@ def _evaluator() -> SimulationEvaluator:
                                raise_failures=True)
 
 
+class OneGroupBatcher:
+    """The engine's batcher protocol in its smallest form.
+
+    Every point is one group, each member runs the scalar per-point
+    code, and a member that fails goes back to the executor path as
+    :data:`~repro.engine.BATCH_FALLBACK`.
+    """
+
+    min_batch = 2
+
+    def __init__(self, evaluator: SimulationEvaluator):
+        self.evaluator = evaluator
+
+    def group(self, points: list) -> list[list[int]]:
+        return [list(range(len(points)))] if points else []
+
+    def evaluate(self, points: list) -> list:
+        results = []
+        for sizes in points:
+            try:
+                results.append(self.evaluator.simulate(sizes))
+            except SIMULATION_ERRORS:
+                results.append(BATCH_FALLBACK)
+        return results
+
+
 def _filter_kernel_counters(tree):
     """Span-tree copy with ``kernel.*`` counter keys removed — the only
     place the two modes may legitimately differ."""
@@ -305,11 +331,10 @@ def _run_cell(seed: int, *, batched: bool, executor: str,
     injector = FaultInjector(rate=fault_rate, seed=seed) \
         if fault_rate else None
     config = EngineConfig(executor=executor, workers=2, cache=True,
-                          trace=True, fault_injector=injector,
-                          batch_kernel=batched)
+                          trace=True, fault_injector=injector)
     engine = EvaluationEngine.from_config(config)
     evaluator = _evaluator()
-    batcher = BatchEvaluator(evaluator) if batched else None
+    batcher = OneGroupBatcher(evaluator) if batched else None
     points = _ota_candidates(seed, n_points)
     with engine.tracer.span("differential"):
         results = engine.map_evaluate(evaluator.simulate, points,
@@ -424,11 +449,10 @@ class TestEngineDifferential:
         assert a["digest"] == b["digest"]
         assert a["structure"] == b["structure"]
 
-    @pytest.mark.parametrize("batched", [False, True])
-    def test_sizing_with_surrogate_is_mode_deterministic(self, batched):
+    def test_sizing_with_surrogate_is_deterministic(self):
         def run():
             config = EngineConfig(
-                cache=True, batch_kernel=batched,
+                cache=True,
                 surrogate=SurrogateConfig(min_fit=16, refit_every=8))
             sizer = SimulationBasedSizer(
                 _evaluator(), OTA_SPACE, OTA_SPECS, schedule=SCHEDULE,
@@ -443,37 +467,8 @@ class TestEngineDifferential:
         assert r1.history == r2.history
         assert rep1["surrogate"]["predictions"] == \
             rep2["surrogate"]["predictions"]
-        if batched:
-            assert rep1["kernel"]["batches"] >= 1
-        else:
-            assert rep1["kernel"]["batches"] == 0
-
-    def test_sizing_scalar_vs_batched_without_surrogate(self):
-        """Unscreened sizing: the two modes walk the same annealing
-        trajectory bit for bit, because every point runs the same
-        per-point code in both."""
-        def run(batched):
-            config = EngineConfig(cache=True, batch_kernel=batched)
-            sizer = SimulationBasedSizer(
-                _evaluator(), OTA_SPACE, OTA_SPECS, schedule=SCHEDULE,
-                seed=11, batch_size=8, config=config)
-            engine = sizer.engine
-            result = sizer.run()
-            return result, engine.report()
-
-        (rs, _), (rb, rep_b) = run(False), run(True)
-        assert rs.evaluations == rb.evaluations
-        assert _same_bits(rb.cost, rs.cost)
-        assert set(rb.sizes) == set(rs.sizes)
-        for name in rs.sizes:
-            assert _same_bits(rb.sizes[name], rs.sizes[name]), name
-        assert set(rb.performance) == set(rs.performance)
-        for name in rs.performance:
-            assert _same_bits(rb.performance[name], rs.performance[name]), \
-                name
-        assert len(rb.history) == len(rs.history)
-        assert all(_same_bits(b, s) for b, s in zip(rb.history, rs.history))
-        assert rep_b["kernel"]["batched_points"] > 0
+        # Sizing evaluates through the executor; only a batcher batches.
+        assert rep1["kernel"]["batches"] == 0
 
 
 # ----------------------------------------------------------------------
@@ -490,7 +485,7 @@ class TestServeBatched:
         broker = Broker(engine, config=config.serve, owns_engine=True)
         broker.register(Workload("ota", evaluator.simulate,
                                  key_fn=evaluator.cache_key,
-                                 batcher=BatchEvaluator(evaluator)))
+                                 batcher=OneGroupBatcher(evaluator)))
         points = _ota_candidates(21, 8)
         with broker:
             handles = [broker.submit("ota", p) for p in points]

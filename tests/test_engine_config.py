@@ -1,15 +1,17 @@
-"""EngineConfig / EvaluationEngine.from_config and the kwarg migration.
+"""EngineConfig / EvaluationEngine.from_config and how flows get engines.
 
-One typed config object replaces the scattered executor / cache /
-retry_policy / fault_injector / tracer kwargs.  The legacy spellings
-must keep working behind a ``DeprecationWarning``; mixing both in one
-call is an error.
+One typed config object carries the executor / cache / retry_policy /
+fault_injector / tracer settings.  Every flow entry point takes either a
+shared ``engine=`` or a ``config=`` to build an engine it owns; passing
+both is an error.
 """
 
 import json
 
 import pytest
 
+from repro.circuits.library import five_transistor_ota
+from repro.core.specs import Spec, SpecSet
 from repro.engine import (
     EngineConfig,
     EvalCache,
@@ -21,7 +23,14 @@ from repro.engine import (
     Telemetry,
     Tracer,
 )
-from repro.engine.config import resolve_flow_engine
+from repro.flows import assemble_chip, design_ota_cell
+from repro.opt.anneal import AnnealSchedule
+from repro.synthesis import DesignSpace
+from repro.synthesis.compose import TopologyFunnel
+from repro.synthesis.simulation_based import (
+    SimulationBasedSizer,
+    SimulationEvaluator,
+)
 
 
 def _double(x):
@@ -124,13 +133,34 @@ class TestDescribe:
         assert desc["executor"] == "SerialExecutor"
 
 
+class ClosingProbe(SerialExecutor):
+    """A serial executor that records whether its engine closed it."""
+
+    closed = False
+
+    def close(self) -> None:
+        self.closed = True
+        super().close()
+
+
+OTA_SPACE = DesignSpace(
+    variables={"w_in": (5e-6, 500e-6), "i_bias": (2e-6, 500e-6)},
+    fixed={"w_load": 20e-6, "w_tail": 20e-6, "l_in": 2e-6,
+           "l_load": 2e-6, "l_tail": 2e-6, "c_load": 2e-12, "vdd": 3.3})
+OTA_SPECS = SpecSet([Spec.at_least("gain_db", 40.0)])
+
+
+def _tiny_sizer(**engine_kwargs) -> SimulationBasedSizer:
+    return SimulationBasedSizer(
+        SimulationEvaluator(builder=five_transistor_ota), OTA_SPACE,
+        OTA_SPECS, schedule=AnnealSchedule(
+            moves_per_temperature=4, cooling=0.5, max_evaluations=8),
+        batch_size=4, **engine_kwargs)
+
+
 class TestDeprecationShims:
-    def test_legacy_engine_kwargs_warn(self):
-        with pytest.warns(DeprecationWarning, match="from_config"):
-            engine = EvaluationEngine(retry_policy=RetryPolicy())
-        assert engine.executor.retry_policy is not None
-        with pytest.warns(DeprecationWarning, match="from_config"):
-            EvaluationEngine(fault_injector=FaultInjector(rate=0.0, seed=1))
+    """What the removed deprecation shims leave behind: one rule for how
+    a flow gets its engine, and no warnings."""
 
     def test_plain_constructor_does_not_warn(self):
         import warnings as _w
@@ -138,26 +168,40 @@ class TestDeprecationShims:
             _w.simplefilter("error", DeprecationWarning)
             EvaluationEngine(cache=EvalCache())
 
-    def test_resolve_flow_engine_warns_on_legacy_kwargs(self):
-        engine = EvaluationEngine()
-        with pytest.warns(DeprecationWarning, match="my_flow"):
-            got, policy, owned = resolve_flow_engine(engine, None, None,
-                                                     "my_flow")
-        assert got is engine and owned is False
+    def test_engine_plus_config_is_an_error(self):
+        engine, config = EvaluationEngine(), EngineConfig()
+        entry_points = [
+            lambda: SimulationBasedSizer(
+                SimulationEvaluator(builder=five_transistor_ota),
+                OTA_SPACE, OTA_SPECS, engine=engine, config=config),
+            lambda: TopologyFunnel(OTA_SPECS, engine=engine, config=config),
+            lambda: design_ota_cell(OTA_SPECS, engine=engine, config=config),
+            lambda: assemble_chip([], [], engine=engine, config=config),
+        ]
+        for call in entry_points:
+            with pytest.raises(ValueError, match="not both"):
+                call()
 
-    def test_resolve_flow_engine_builds_owned_engine_from_config(self):
-        policy = RetryPolicy(max_attempts=4)
-        engine, got_policy, owned = resolve_flow_engine(
-            None, None, EngineConfig(retry_policy=policy), "my_flow")
-        assert owned is True
-        assert got_policy is policy
-        assert engine.config is not None
+    def test_config_built_engine_is_closed_by_its_owner(self):
+        probe = ClosingProbe()
+        sizer = _tiny_sizer(config=EngineConfig(executor=probe, cache=True))
+        assert sizer.engine.executor is probe
+        sizer.run()
+        assert probe.closed
 
-    def test_config_plus_legacy_kwargs_is_an_error(self):
-        with pytest.raises(ValueError, match="not both"):
-            resolve_flow_engine(EvaluationEngine(), None, EngineConfig(),
-                                "my_flow")
+    def test_shared_engine_stays_open_and_does_not_warn(self):
+        import warnings as _w
+        probe = ClosingProbe()
+        engine = EvaluationEngine.from_config(EngineConfig(executor=probe))
+        with _w.catch_warnings():
+            _w.simplefilter("error", DeprecationWarning)
+            sizer = _tiny_sizer(engine=engine)
+            sizer.run()
+        assert sizer.engine is engine and not probe.closed
+        assert engine.report()["counters"]["engine.evaluations"] > 0
+        engine.close()
 
     def test_no_engine_no_config_passes_through(self):
-        engine, policy, owned = resolve_flow_engine(None, None, None, "f")
-        assert engine is None and policy is None and owned is False
+        sizer = _tiny_sizer()
+        assert sizer.engine is None
+        assert sizer.run().evaluations > 0

@@ -27,6 +27,7 @@ from repro.analysis.mna import SingularCircuitError
 from repro.circuits.library import five_transistor_ota
 from repro.core.specs import Spec, SpecSet
 from repro.engine import (
+    EngineConfig,
     EvalCache,
     EvalFailure,
     EvalTimeoutError,
@@ -361,11 +362,11 @@ class TestParallelResilience:
 class TestEngineFailureHandling:
     def test_failures_are_never_cached(self):
         cache = EvalCache()
-        engine = EvaluationEngine(
-            SerialExecutor(), cache,
+        engine = EvaluationEngine.from_config(EngineConfig(
+            cache=cache,
             retry_policy=RetryPolicy(max_attempts=1),
             fault_injector=FaultInjector(rate=1.0, seed=1,
-                                         kinds=("convergence",)))
+                                         kinds=("convergence",))))
         out = engine.map_evaluate(_square, [1, 2, 3], key_fn=str)
         assert all(is_failure(f) for f in out)
         assert len(cache) == 0
@@ -383,11 +384,10 @@ class TestEngineFailureHandling:
         assert cache.stats.failure_rejects == 1
 
     def test_report_counts_failures_by_type(self):
-        engine = EvaluationEngine(
-            SerialExecutor(),
+        engine = EvaluationEngine.from_config(EngineConfig(
             retry_policy=RetryPolicy(max_attempts=2),
             fault_injector=FaultInjector(rate=1.0, seed=3,
-                                         kinds=("singular",)))
+                                         kinds=("singular",))))
         engine.map_evaluate(_square, [1, 2, 3, 4])
         report = engine.report()
         assert report["failures"]["total"] == 4
@@ -399,11 +399,10 @@ class TestEngineFailureHandling:
         assert "4 evaluation(s) failed" in engine.failure_summary()
 
     def test_failure_records_are_bounded(self):
-        engine = EvaluationEngine(
-            SerialExecutor(),
+        engine = EvaluationEngine.from_config(EngineConfig(
             retry_policy=RetryPolicy(max_attempts=1),
             fault_injector=FaultInjector(rate=1.0, seed=1,
-                                         kinds=("crash",)))
+                                         kinds=("crash",))))
         engine.telemetry.max_failure_records = 10
         engine.map_evaluate(_square, list(range(50)))
         report = engine.report()
@@ -472,6 +471,22 @@ class TestJobGraphRetries:
         assert counters["jobs.failed"] == 1
         assert counters["jobs.failed.broken"] == 1
 
+    def test_stages_take_the_engine_retry_policy(self):
+        attempts = []
+
+        def flaky_stage(_r):
+            attempts.append(1)
+            if len(attempts) == 1:
+                raise ConvergenceError("transient stage wobble")
+            return "done"
+
+        engine = EvaluationEngine.from_config(
+            EngineConfig(retry_policy=RetryPolicy(max_attempts=2)))
+        graph = JobGraph()
+        graph.add("wobbly", flaky_stage)
+        assert graph.run(engine)["wobbly"] == "done"
+        assert engine.report()["counters"]["jobs.retries"] == 1
+
     def test_retryable_failure_out_of_attempts_propagates(self):
         graph = JobGraph()
         graph.add("hopeless",
@@ -504,9 +519,9 @@ def _run_sizing(executor, fault_rate, seed=7):
     evaluator = SimulationEvaluator(builder=five_transistor_ota,
                                     raise_failures=True)
     injector = FaultInjector(rate=fault_rate, seed=99) if fault_rate else None
-    engine = EvaluationEngine(executor, EvalCache(),
-                              retry_policy=RetryPolicy(max_attempts=2),
-                              fault_injector=injector)
+    engine = EvaluationEngine.from_config(EngineConfig(
+        executor=executor, cache=EvalCache(),
+        retry_policy=RetryPolicy(max_attempts=2), fault_injector=injector))
     sizer = SimulationBasedSizer(evaluator, OTA_SPACE, OTA_SPECS,
                                  schedule=TINY_SCHEDULE, seed=seed,
                                  engine=engine, batch_size=4,
@@ -551,10 +566,10 @@ class TestDifferentialMatrix:
         with pytest.raises(RuntimeError, match="evaluations to failures"):
             evaluator = SimulationEvaluator(builder=five_transistor_ota,
                                             raise_failures=True)
-            engine = EvaluationEngine(
-                SerialExecutor(), EvalCache(),
+            engine = EvaluationEngine.from_config(EngineConfig(
+                cache=EvalCache(),
                 retry_policy=RetryPolicy(max_attempts=1),
-                fault_injector=FaultInjector(rate=1.0, seed=5))
+                fault_injector=FaultInjector(rate=1.0, seed=5)))
             SimulationBasedSizer(evaluator, OTA_SPACE, OTA_SPECS,
                                  schedule=TINY_SCHEDULE, seed=7,
                                  engine=engine, batch_size=4,

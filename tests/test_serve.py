@@ -11,6 +11,7 @@ would never close.
 from __future__ import annotations
 
 import json
+import socket
 import threading
 import time
 import urllib.error
@@ -36,7 +37,7 @@ from repro.serve import (
     Session,
     TokenBucket,
     Workload,
-    make_server,
+    make_async_server,
     replay,
     result_digest,
 )
@@ -538,8 +539,36 @@ class TestReplay:
 
 
 # ----------------------------------------------------------------------
-# HTTP facade
+# HTTP front door
 # ----------------------------------------------------------------------
+
+class SlowReportBroker(Broker):
+    """A backend whose report() takes as long as a slow shard fleet's."""
+
+    report_delay_s = 2.0
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.reporting = threading.Event()
+
+    def report(self) -> dict:
+        self.reporting.set()
+        time.sleep(self.report_delay_s)
+        return super().report()
+
+
+def raw_exchange(url: str, request: bytes) -> bytes:
+    """Send raw bytes to the front door; everything it answers."""
+    host, port = url.removeprefix("http://").split(":")
+    with socket.create_connection((host, int(port)), timeout=10) as sock:
+        sock.sendall(request)
+        chunks = []
+        while True:
+            chunk = sock.recv(65536)
+            if not chunk:
+                return b"".join(chunks)
+            chunks.append(chunk)
+
 
 class TestHttp:
     def request(self, url, body=None):
@@ -556,9 +585,9 @@ class TestHttp:
             return exc.code, json.loads(exc.read())
 
     def test_facade_end_to_end(self):
-        broker = make_broker(ServeConfig(max_wait_ms=0))
-        with broker, make_server(broker,
-                                 synthesize_workload="square") as server:
+        broker = make_broker(ServeConfig(max_wait_ms=0,
+                                         synthesize_workload="square"))
+        with broker, make_async_server(broker) as server:
             status, out = self.request(
                 server.url + "/evaluate",
                 {"workload": "square", "point": {"x": 5}, "client": "web"})
@@ -576,7 +605,7 @@ class TestHttp:
 
     def test_facade_error_mapping(self):
         broker = make_broker(ServeConfig(max_wait_ms=0, max_queue_depth=1))
-        with make_server(broker) as server:  # broker NOT started: queues
+        with make_async_server(broker) as server:  # broker NOT started
             status, _ = self.request(server.url + "/nope")
             assert status == 404
             status, out = self.request(server.url + "/evaluate",
@@ -600,7 +629,7 @@ class TestHttp:
         broker = make_broker(
             ServeConfig(max_wait_ms=0, http_max_wait_s=0.2))
         try:
-            with make_server(broker) as server:  # broker NOT started:
+            with make_async_server(broker) as server:  # not started:
                 status, out = self.request(      # the request never runs
                     server.url + "/evaluate",
                     {"workload": "square", "point": {"x": 1}})
@@ -614,12 +643,55 @@ class TestHttp:
 
         broker = make_broker(ServeConfig(max_wait_ms=0))
         broker.register(Workload("boom", boom))
-        with broker, make_server(broker) as server:
+        with broker, make_async_server(broker) as server:
             status, out = self.request(
                 server.url + "/evaluate",
                 {"workload": "boom", "point": {"x": 1}})
             assert status == 500 and out["outcome"] == "errored"
             assert "simulator exploded" in out["error"]
+
+    @pytest.mark.parametrize("length", ["abc", "-5"])
+    def test_bad_content_length_is_a_400(self, length):
+        broker = make_broker(ServeConfig(max_wait_ms=0))
+        with broker, make_async_server(broker) as server:
+            reply = raw_exchange(server.url, (
+                f"POST /evaluate HTTP/1.1\r\nHost: test\r\n"
+                f"Content-Length: {length}\r\n\r\n").encode())
+            head, _, body = reply.partition(b"\r\n\r\n")
+            assert head.startswith(b"HTTP/1.1 400 ")
+            assert "Content-Length" in json.loads(body)["error"]
+            # The front door still serves the next connection.
+            status, out = self.request(
+                server.url + "/evaluate",
+                {"workload": "square", "point": {"x": 4}})
+            assert status == 200 and out["result"] == {"y": 16}
+
+    def test_slow_metrics_does_not_stall_evaluate(self):
+        """A GET waits on the backend off the event loop: a concurrent
+        /evaluate answers while /metrics is still being assembled."""
+        engine = EvaluationEngine.from_config(EngineConfig())
+        broker = SlowReportBroker(engine, config=ServeConfig(max_wait_ms=0),
+                                  owns_engine=True)
+        broker.register(Workload("square", square))
+        done: dict[str, float] = {}
+
+        def get_metrics(url):
+            status, _ = self.request(url + "/metrics")
+            assert status == 200
+            done["metrics"] = time.monotonic()
+
+        with broker, make_async_server(broker) as server:
+            getter = threading.Thread(target=get_metrics, args=(server.url,))
+            getter.start()
+            assert broker.reporting.wait(timeout=10)
+            status, out = self.request(
+                server.url + "/evaluate",
+                {"workload": "square", "point": {"x": 3}})
+            done["evaluate"] = time.monotonic()
+            getter.join(timeout=30)
+        assert not getter.is_alive() and "metrics" in done
+        assert status == 200 and out["result"] == {"y": 9}
+        assert done["evaluate"] < done["metrics"]
 
 
 # ----------------------------------------------------------------------

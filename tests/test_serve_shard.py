@@ -14,9 +14,8 @@ The load-bearing guarantees, each pinned by its own test class:
   under concurrent multi-process writers, and a result computed by one
   shard is a disk hit for another.
 * **One wire contract** — the typed :class:`ServeClient` round-trips
-  identically against the thread-per-request and asyncio facades, and
-  the legacy ``make_server`` kwargs keep working behind a
-  ``DeprecationWarning`` (both-at-once is a ``ValueError``).
+  identically through the front door over a broker and over a router,
+  and the front door takes its settings from :class:`ServeConfig`.
 """
 
 import json
@@ -41,7 +40,6 @@ from repro.serve import (
     ShardRouter,
     Workload,
     make_async_server,
-    make_server,
     replay,
 )
 from repro.serve.shard import route_key
@@ -432,11 +430,11 @@ class TestShardDifferential:
 
 
 # ----------------------------------------------------------------------
-# ServeClient against both facades
+# ServeClient through the front door, over both backends
 # ----------------------------------------------------------------------
 
-def _client_roundtrip(server_factory, backend):
-    with server_factory(backend) as server:
+def _client_roundtrip(backend):
+    with make_async_server(backend) as server:
         with ServeClient(server.url, client="roundtrip") as client:
             assert client.evaluate("square", {"x": 6}) == {"y": 36}
             handle = client.submit("square", {"x": 7})
@@ -458,21 +456,15 @@ def _client_roundtrip(server_factory, backend):
 
 class TestServeClient:
 
-    @pytest.mark.parametrize("server_factory",
-                             [make_server, make_async_server],
-                             ids=["threaded", "async"])
-    def test_roundtrip_over_broker(self, server_factory):
+    def test_roundtrip_over_broker(self):
         broker = Broker.from_config(EngineConfig(executor="thread"))
         broker.register(Workload("square", square, key_fn=square_key))
         with broker:
-            _client_roundtrip(server_factory, broker)
+            _client_roundtrip(broker)
 
-    @pytest.mark.parametrize("server_factory",
-                             [make_server, make_async_server],
-                             ids=["threaded", "async"])
-    def test_roundtrip_over_shard_router(self, server_factory, tmp_path):
+    def test_roundtrip_over_shard_router(self, tmp_path):
         with make_router(2, tmp_path) as router:
-            _client_roundtrip(server_factory, router)
+            _client_roundtrip(router)
 
     def test_structured_errors_cross_the_wire(self):
         config = EngineConfig(
@@ -518,7 +510,7 @@ class TestServeClient:
 
 
 # ----------------------------------------------------------------------
-# ServeConfig consolidation + legacy make_server shim
+# ServeConfig drives the front door
 # ----------------------------------------------------------------------
 
 class TestServeConfigMigration:
@@ -538,37 +530,14 @@ class TestServeConfigMigration:
         with pytest.raises(ValueError, match="http_port"):
             ServeConfig(http_port=70000)
 
-    def test_config_drives_make_server(self):
+    def test_config_drives_the_front_door(self):
         broker = Broker.from_config(EngineConfig(
             serve=ServeConfig(synthesize_workload="square")))
         broker.register(Workload("square", square))
         with broker:
-            with make_server(broker) as server:
+            with make_async_server(broker) as server:
                 assert server.app.synthesize_workload == "square"
                 host, _port = server.address
                 assert host == "127.0.0.1"
-
-    def test_legacy_kwargs_warn_but_work(self):
-        broker = Broker.from_config(EngineConfig())
-        broker.register(Workload("square", square))
-        with broker:
-            with pytest.warns(DeprecationWarning, match="deprecated"):
-                server = make_server(broker, host="127.0.0.1", port=0,
-                                     synthesize_workload="square")
-            with server:
-                assert server.app.synthesize_workload == "square"
-            with pytest.warns(DeprecationWarning, match="deprecated"):
-                async_server = make_async_server(broker, port=0)
-            with async_server:
-                with ServeClient(async_server.url) as client:
-                    assert client.evaluate("square", {"x": 2}) == {"y": 4}
-
-    def test_both_at_once_is_an_error(self):
-        broker = Broker.from_config(EngineConfig(
-            serve=ServeConfig(synthesize_workload="square")))
-        broker.register(Workload("square", square))
-        with broker:
-            with pytest.raises(ValueError, match="not both"):
-                make_server(broker, synthesize_workload="square")
-            with pytest.raises(ValueError, match="not both"):
-                make_async_server(broker, port=9999)
+                with ServeClient(server.url) as client:
+                    assert client.synthesize({"x": 2}) == {"y": 4}

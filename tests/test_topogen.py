@@ -219,8 +219,7 @@ class TestServeWorkload:
         points.append(dict(points[0]))  # duplicate: must dedup cleanly
         engine = EvaluationEngine.from_config(EngineConfig(cache=True))
         try:
-            results = engine.map_evaluate(wl.fn, points, key_fn=wl.key_fn,
-                                          batcher=wl.batcher)
+            results = engine.map_evaluate(wl.fn, points, key_fn=wl.key_fn)
         finally:
             engine.close()
         assert len(results) == 3
@@ -236,16 +235,3 @@ class TestServeWorkload:
         wl = topogen_workload(generate_topologies(seed=0, sample=2))
         with pytest.raises(ValueError):
             wl.fn({"sizes": {}})
-
-    def test_batcher_groups_by_structure(self):
-        topos = generate_topologies(seed=0, sample=3)
-        wl = topogen_workload(topos)
-        points = [{"structure": topos[0].structure_id,
-                   "sizes": topos[0].default_sizes()},
-                  {"structure": topos[1].structure_id,
-                   "sizes": topos[1].default_sizes()},
-                  {"structure": topos[0].structure_id,
-                   "sizes": topos[0].default_sizes()},
-                  {"structure": "bogus", "sizes": {}}]
-        groups = wl.batcher.group(points)
-        assert sorted(map(sorted, groups)) == [[0, 2], [1], [3]]
