@@ -10,9 +10,8 @@ fails loudly when the contract drifts:
 * signoff leaves the IR/EM/droop envelope, or the annealed mesh stops
   beating the uniform-width reference on rail metal area at equal
   constraints;
-* the manifest no longer validates against the checked-in JSON Schema
-  (report schema v9 / manifest schema v8 with the ``macro`` section and
-  ``macro_*`` rollups);
+* the manifest no longer validates against its JSON Schema (the
+  ``macro`` section and ``macro_*`` rollups included);
 * ``macro_workload()`` fails to round-trip through a shard fleet
   (``--shards 2``) with the zero-silent-drops accounting invariant.
 

@@ -5,8 +5,8 @@ Runs the Table 1 pulse-detector flow (synthesize → verify → check) with
 tracing on, writes ``manifest.json`` + ``trace.jsonl`` to ``--out``, and
 fails loudly when the observability contract drifts:
 
-* the manifest no longer validates against the checked-in JSON Schema
-  (``repro/engine/run_manifest_schema.json``);
+* the manifest no longer validates against its JSON Schema
+  (``repro.engine.schema.manifest_schema()``);
 * ``schema_version`` / report ``schema_version`` moved without this
   gate being updated;
 * a required report key disappeared;

@@ -6,9 +6,8 @@ sample of the composed structure space with tracing on, writes
 ``manifest.json`` + ``trace.jsonl`` to ``--out``, and fails loudly when
 the contract drifts:
 
-* the manifest no longer validates against the checked-in JSON Schema
-  (report schema v8 / manifest schema v7 with the ``topogen`` section
-  and ``topogen_*`` rollups);
+* the manifest no longer validates against its JSON Schema (the
+  ``topogen`` section and ``topogen_*`` rollups included);
 * the symbolic pruning pass cuts the sized set by less than 5x;
 * the funnel's best sized design stops being feasible, or falls behind
   the legacy ``select_enumerate`` reference over the canned registry on

@@ -34,7 +34,7 @@ from repro.analysis.ac import AcResult, SmallSignalSystem, _ac_analysis_impl
 from repro.analysis.dcop import OperatingPoint, _dc_operating_point_impl
 from repro.analysis.noise import NoiseResult, _noise_analysis_impl
 from repro.analysis.transient import TransientResult, _transient_impl
-from repro.engine.trace import current_tracer
+from repro.engine.trace import count
 
 
 @dataclass(frozen=True)
@@ -89,9 +89,9 @@ def run(circuit, spec: AnalysisSpec):
     ``TranSpec → TransientResult``, ``NoiseSpec → NoiseResult``.
     Raises ``TypeError`` for anything that is not one of the four specs.
     """
-    tracer = current_tracer()
-    if tracer is not None:
-        tracer.count(f"analysis.{spec.kind}")
+    if not isinstance(spec, AnalysisSpec):
+        raise TypeError(f"not an analysis spec: {spec!r}")
+    count(f"analysis.{spec.kind}")
     if isinstance(spec, DcSpec):
         return _dc_operating_point_impl(circuit, x0=spec.x0, gmin=spec.gmin)
     if isinstance(spec, AcSpec):
@@ -100,10 +100,8 @@ def run(circuit, spec: AnalysisSpec):
         return _transient_impl(circuit, spec.t_stop, spec.dt, x0=spec.x0,
                                use_ic_op=spec.use_ic_op,
                                max_halvings=spec.max_halvings)
-    if isinstance(spec, NoiseSpec):
-        return _noise_analysis_impl(circuit, spec.out, spec.freqs,
-                                    op=spec.op, ss=spec.ss)
-    raise TypeError(f"not an analysis spec: {spec!r}")
+    return _noise_analysis_impl(circuit, spec.out, spec.freqs,
+                                op=spec.op, ss=spec.ss)
 
 
 __all__ = [

@@ -54,7 +54,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from repro.analysis.mna import SingularCircuitError
-from repro.engine.trace import current_tracer
+from repro.engine.trace import count
 
 #: Matrices at least this large are candidates for sparse factorization.
 SPARSE_SIZE_THRESHOLD = 128
@@ -64,12 +64,6 @@ SPARSE_DENSITY_THRESHOLD = 0.25
 
 #: Default LRU capacity of a :class:`FactorizationCache`.
 DEFAULT_CACHE_ENTRIES = 256
-
-
-def _count(name: str, n: int = 1) -> None:
-    tracer = current_tracer()
-    if tracer is not None:
-        tracer.count(name, n)
 
 
 class FactorizedOperator:
@@ -93,7 +87,7 @@ class FactorizedOperator:
 
     # -- solving -------------------------------------------------------
     def _solve(self, b: np.ndarray, trans: str) -> np.ndarray:
-        _count("solver.solves")
+        count("solver.solves")
         b = np.asarray(b)
         if self.mode == "dense":
             x = sla.lu_solve(self._factors, b,
@@ -155,9 +149,9 @@ def factorize(A: Any, prefer_sparse: bool | None = None) -> FactorizedOperator:
     else:
         use_sparse = prefer_sparse
 
-    _count("solver.factorizations")
+    count("solver.factorizations")
     if use_sparse:
-        _count("solver.factor_sparse")
+        count("solver.factor_sparse")
         M = sp.csc_matrix(A)
         try:
             with warnings.catch_warnings():
@@ -168,7 +162,7 @@ def factorize(A: Any, prefer_sparse: bool | None = None) -> FactorizedOperator:
                 "sparse LU failed — matrix is singular") from exc
         return FactorizedOperator(factors, "sparse", n, M.dtype)
 
-    _count("solver.factor_dense")
+    count("solver.factor_dense")
     M = A.toarray() if is_sparse_input else np.asarray(A)
     try:
         with warnings.catch_warnings():
@@ -209,9 +203,9 @@ def solve_stack(A: np.ndarray, b: np.ndarray) -> np.ndarray:
             f"stack {A.shape} (expected {A.shape[:2]} or "
             f"({A.shape[1]},))")
     members = A.shape[0]
-    _count("solver.factorizations", members)
-    _count("solver.factor_dense", members)
-    _count("solver.solves", members)
+    count("solver.factorizations", members)
+    count("solver.factor_dense", members)
+    count("solver.solves", members)
     if not np.all(np.isfinite(A)):
         raise SingularCircuitError(
             "MNA matrix contains non-finite entries — check for "
@@ -266,10 +260,10 @@ class FactorizationCache:
         if op is not None:
             self._entries.move_to_end(key)
             self.hits += 1
-            _count("solver.cache_hits")
+            count("solver.cache_hits")
             return op
         self.misses += 1
-        _count("solver.cache_misses")
+        count("solver.cache_misses")
         op = factorize(build(), prefer_sparse=prefer_sparse)
         self._entries[key] = op
         while len(self._entries) > self.max_entries:

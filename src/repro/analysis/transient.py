@@ -22,7 +22,7 @@ from repro.analysis.mna import MnaSystem, SingularCircuitError
 from repro.analysis.solver import FactorizationCache, solve_stack
 from repro.circuits.devices import CurrentSource, VoltageSource
 from repro.circuits.netlist import Circuit
-from repro.engine.trace import current_tracer
+from repro.engine.trace import count
 
 
 @dataclass
@@ -172,9 +172,7 @@ def _newton_nonconv(t: float, h: float) -> None:
     ``engine.report()`` and the run manifest like every other
     ``analysis.*`` counter.
     """
-    tracer = current_tracer()
-    if tracer is not None:
-        tracer.count("analysis.newton_nonconv")
+    count("analysis.newton_nonconv")
 
 
 def _step(system: MnaSystem, G: np.ndarray, C: np.ndarray, sources,

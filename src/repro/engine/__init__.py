@@ -36,10 +36,6 @@ from repro.engine.schema import (
     REPORT_SCHEMA_VERSION,
     SchemaError,
     check_report,
-    kernel_rollup,
-    serve_rollup,
-    solver_rollup,
-    surrogate_rollup,
     validate_manifest,
 )
 from repro.engine.telemetry import Telemetry, TimerStat
@@ -91,14 +87,10 @@ __all__ = [
     "current_tracer",
     "finish_run",
     "is_failure",
-    "kernel_rollup",
     "manifest_digest",
     "point_token",
-    "serve_rollup",
-    "solver_rollup",
     "span_if",
     "strip_volatile",
-    "surrogate_rollup",
     "validate_manifest",
     "write_manifest",
 ]

@@ -19,7 +19,7 @@ configured.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from repro.engine.cache import EvalCache
@@ -136,22 +136,7 @@ class ServeConfig:
             raise ValueError("http_port must be in [0, 65535]")
 
     def describe(self) -> dict:
-        return {
-            "max_batch": self.max_batch,
-            "max_wait_ms": self.max_wait_ms,
-            "max_queue_depth": self.max_queue_depth,
-            "rate": self.rate,
-            "burst": self.burst,
-            "default_deadline_s": self.default_deadline_s,
-            "interactive_burst": self.interactive_burst,
-            "http_max_wait_s": self.http_max_wait_s,
-            "corpus_dir": self.corpus_dir,
-            "shards": self.shards,
-            "shared_store_dir": self.shared_store_dir,
-            "http_host": self.http_host,
-            "http_port": self.http_port,
-            "synthesize_workload": self.synthesize_workload,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -249,23 +234,7 @@ class SurrogateConfig:
             raise ValueError("max_corpus must be >= min_fit")
 
     def describe(self) -> dict:
-        return {
-            "simulate_fraction": self.simulate_fraction,
-            "explore_fraction": self.explore_fraction,
-            "winner_margin": self.winner_margin,
-            "min_fit": self.min_fit,
-            "refit_every": self.refit_every,
-            "miss_tol": self.miss_tol,
-            "miss_window": self.miss_window,
-            "max_miss_rate": self.max_miss_rate,
-            "fallback_batches": self.fallback_batches,
-            "length_scale": self.length_scale,
-            "ridge": self.ridge,
-            "max_centers": self.max_centers,
-            "max_corpus": self.max_corpus,
-            "seed": self.seed,
-            "corpus_dir": self.corpus_dir,
-        }
+        return asdict(self)
 
 
 @dataclass

@@ -28,15 +28,7 @@ from repro.engine import trace as _trace
 from repro.engine.cache import EvalCache
 from repro.engine.executor import Executor, SerialExecutor
 from repro.engine.faults import is_failure
-from repro.engine.schema import (
-    REPORT_SCHEMA_VERSION,
-    kernel_rollup,
-    macro_rollup,
-    serve_rollup,
-    solver_rollup,
-    surrogate_rollup,
-    topogen_rollup,
-)
+from repro.engine.schema import render_report
 from repro.engine.telemetry import Telemetry
 from repro.engine.trace import Tracer
 
@@ -344,46 +336,16 @@ class EvaluationEngine:
     def report(self) -> dict:
         """Versioned run report (see :mod:`repro.engine.schema`).
 
-        Schema v2: ``schema_version`` + ``counters`` / ``timers`` /
-        ``failures`` (from telemetry) + ``executor`` / ``cache``
-        descriptions + ``spans`` (the tracer's span tree, ``[]`` when the
-        engine runs untraced).  Schema v3 adds ``solver``: the rollup of
-        the ``solver.*`` counters emitted by the shared factor-once/
-        solve-many layer (:mod:`repro.analysis.solver`).  Schema v4 adds
-        ``serve``: the rollup of the serving layer's ``serve.*`` counters
-        and per-request latency samples (:mod:`repro.serve`).  Schema v5
-        adds ``surrogate``: the rollup of the surrogate screening layer's
-        ``surrogate.*`` counters and fit/predict latency samples
-        (:mod:`repro.surrogate`).  Schema v6 adds ``kernel``: the rollup
-        of the ``kernel.*`` counters and per-group latency samples of
-        the ``batcher=`` path of :meth:`map_evaluate`.  Schema v7 adds
-        ``serve.shards``: the per-shard outcome breakdown a
-        :class:`repro.serve.ShardRouter` fleet report carries — ``[]``
-        here, since one engine is by definition one (unsharded) worker.
-        Schema v8 adds ``topogen``: the rollup of the compositional
-        topology-generation funnel's ``topogen.*`` counters
-        (:mod:`repro.synthesis.compose`).  Schema v9 adds ``macro``: the
-        rollup of the memory-macro flow's ``macrogen.*`` counters plus
-        the power grid's width-rejection count (:mod:`repro.macro`).
+        Telemetry counters, timers and failures, the executor and cache
+        descriptions, the tracer's span tree (``[]`` when the engine runs
+        untraced) and one section per :data:`~repro.engine.schema.SECTIONS`
+        entry; ``serve.shards`` is ``[]``, since one engine is by
+        definition one (unsharded) worker.
         """
-        out = self.telemetry.report()
-        out["schema_version"] = REPORT_SCHEMA_VERSION
-        out["executor"] = self.executor.describe()
-        out["cache"] = self.cache.report() if self.cache is not None else None
-        out["spans"] = (self.tracer.span_tree()
-                        if self.tracer is not None else [])
-        out["solver"] = solver_rollup(out["counters"])
-        out["serve"] = serve_rollup(
-            out["counters"], self.telemetry.sample_values("serve.latency_s"))
-        out["surrogate"] = surrogate_rollup(
-            out["counters"],
-            self.telemetry.sample_values("surrogate.fit_s"),
-            self.telemetry.sample_values("surrogate.predict_s"))
-        out["kernel"] = kernel_rollup(
-            out["counters"], self.telemetry.sample_values("kernel.batch_s"))
-        out["topogen"] = topogen_rollup(out["counters"])
-        out["macro"] = macro_rollup(out["counters"])
-        return out
+        return render_report(
+            self.telemetry, executor=self.executor.describe(),
+            cache=self.cache.report() if self.cache is not None else None,
+            spans=self.tracer.span_tree() if self.tracer is not None else [])
 
     def close(self) -> None:
         self.executor.close()

@@ -5,23 +5,37 @@ benchmarks harvest them, and future BENCH_*.json tooling will parse them.
 Both therefore carry an explicit ``schema_version`` and this module is the
 single place the contract lives:
 
+* :data:`SECTIONS` — the one declaration of every report section: each
+  field once (a counter, a ratio of counter sums, a nearest-rank
+  percentile of a sample, a counter-prefix histogram, or the fleet's
+  shard list) plus the fields that roll up into the manifest.
+  :func:`render_report` (the single renderer behind
+  :meth:`repro.engine.EvaluationEngine.report` and
+  :meth:`repro.serve.ShardRouter.report`), :func:`check_report`,
+  :func:`section_rollups` and :func:`manifest_schema` are all generated
+  from it;
 * :data:`REPORT_SCHEMA_VERSION` / :data:`REQUIRED_REPORT_KEYS` — the shape
-  of :meth:`repro.engine.EvaluationEngine.report`;
+  of the report;
 * :data:`MANIFEST_SCHEMA_VERSION` and ``run_manifest_schema.json`` (checked
-  in next to this module) — the shape of the per-run manifest;
+  in next to this module: the parts no section declares) — the shape of
+  the per-run manifest;
 * :func:`validate` — a dependency-free validator for the JSON-Schema subset
-  the checked-in schema uses (no third-party ``jsonschema`` in the image).
+  the manifest schema uses (no third-party ``jsonschema`` in the image).
 
-Bumping either version is a deliberate, reviewed act: change the constant,
-the schema file and the consumers in one commit, or CI's drift gate fails.
+A new section is one :class:`Section` entry in :data:`SECTIONS`, a bump of
+both versions and one history line each below.  Bumping either version is
+a deliberate, reviewed act: change the constant, the registry or schema
+file and the consumers in one commit, or CI's drift gate fails.
 """
 
 from __future__ import annotations
 
+import copy
 import json
 import math
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable, Mapping, Sequence
 
 #: Version of the dict returned by ``EvaluationEngine.report()``.
 #: v1 was the implicit pre-versioning shape (counters/timers/failures/
@@ -53,93 +67,14 @@ REPORT_SCHEMA_VERSION = 9
 #: rollups sourced from report["macro"].
 MANIFEST_SCHEMA_VERSION = 8
 
-#: Keys every ``report()`` dict must contain, at any version >= 2.
-REQUIRED_REPORT_KEYS = (
-    "schema_version",
-    "counters",
-    "timers",
-    "failures",
-    "executor",
-    "cache",
-    "spans",
-    "solver",
-    "serve",
-    "surrogate",
-    "kernel",
-    "topogen",
-    "macro",
-)
-
-#: Keys of the ``report["solver"]`` section (schema v3).
-REQUIRED_SOLVER_KEYS = (
-    "factorizations",
-    "dense",
-    "sparse",
-    "solves",
-    "cache_hits",
-    "cache_misses",
-    "hit_rate",
-)
+_SCHEMA_PATH = Path(__file__).with_name("run_manifest_schema.json")
 
 
-def solver_rollup(counters: dict) -> dict:
-    """Fold the ``solver.*`` telemetry counters into the report section.
-
-    All-zero (with ``hit_rate`` None) when a run never touched the
-    linear-solver layer — the section is always present so consumers
-    never need an existence check.
-    """
-    hits = int(counters.get("solver.cache_hits", 0))
-    misses = int(counters.get("solver.cache_misses", 0))
-    looked_up = hits + misses
-    return {
-        "factorizations": int(counters.get("solver.factorizations", 0)),
-        "dense": int(counters.get("solver.factor_dense", 0)),
-        "sparse": int(counters.get("solver.factor_sparse", 0)),
-        "solves": int(counters.get("solver.solves", 0)),
-        "cache_hits": hits,
-        "cache_misses": misses,
-        "hit_rate": (hits / looked_up) if looked_up else None,
-    }
-
-#: Keys of the ``report["serve"]`` section (schema v4; ``shards`` v7).
-REQUIRED_SERVE_KEYS = (
-    "requests",
-    "admitted",
-    "rejected",
-    "expired",
-    "cancelled",
-    "errored",
-    "completed",
-    "batches",
-    "batched",
-    "mean_batch_size",
-    "batch_size_hist",
-    "latency_p50_s",
-    "latency_p95_s",
-    "latency_p99_s",
-    "shards",
-)
-
-#: Keys of each entry in ``report["serve"]["shards"]`` (schema v7).
-#: One entry per shard of a :class:`repro.serve.ShardRouter` fleet; the
-#: outcome counters are router-observed (every settle crosses the
-#: router), so they stay correct even when the shard itself crashed and
-#: can no longer report.
-REQUIRED_SHARD_KEYS = (
-    "shard",
-    "condemned",
-    "restarts",
-    "routed",
-    "rerouted",
-    "completed",
-    "expired",
-    "cancelled",
-    "errored",
-)
+class SchemaError(ValueError):
+    """An instance does not match its declared schema."""
 
 
-def _percentile(values: list, q: float) -> float | None:
+def _nearest_rank(values: list, q: float) -> float | None:
     """Nearest-rank percentile of raw samples (no numpy on this path)."""
     if not values:
         return None
@@ -148,225 +83,242 @@ def _percentile(values: list, q: float) -> float | None:
     return ordered[min(max(rank, 1), len(ordered)) - 1]
 
 
-def serve_rollup(counters: dict, latency_samples: list | None = None,
-                 shards: list | None = None) -> dict:
-    """Fold the ``serve.*`` counters (and latency samples) into the report.
+def _total(counters: dict, names: tuple[str, ...]) -> int:
+    return sum(int(counters.get(name, 0)) for name in names)
 
-    All-zero (percentiles/mean None) when a run never went through the
-    serving layer — like ``solver``, the section is always present so
-    consumers never need an existence check.  The batch-size histogram
-    comes from the ``serve.batch_size.<n>`` counters the broker bumps
-    per dispatched batch; latency percentiles are nearest-rank over the
-    ``serve.latency_s`` telemetry samples (keys end in ``_s``: wall-clock
-    values are volatile and stripped from structural digests).
 
-    ``shards`` (schema v7) is the per-shard outcome breakdown a
-    :class:`repro.serve.ShardRouter` supplies for its merged fleet
-    report; a single unsharded broker's report carries ``[]``, so the
-    key is always present and ``sum over shards == fleet total`` is a
-    checkable identity whenever the list is non-empty.
+_INT = {"type": "integer"}
+_NUMBER_OR_NULL = {"type": ["number", "null"]}
+
+
+@dataclass(frozen=True)
+class Field:
+    """One key of a report section: its JSON Schema and its value.
+
+    ``value(counters, samples, shards)`` computes the field from the
+    telemetry counters, a sample-name → observations lookup and the
+    fleet's per-shard breakdown.  A field in its section's ``rollups``
+    becomes the manifest rollup ``<section>_<field>``: ``rollup(value)``
+    of type ``rollup_schema`` (default: the field's own).  ``check``
+    gates the value beyond key presence in :func:`check_report`.
     """
-    samples = list(latency_samples or [])
-    prefix = "serve.batch_size."
-    hist = {name[len(prefix):]: int(n) for name, n in sorted(counters.items())
-            if name.startswith(prefix)}
-    batches = int(counters.get("serve.batches", 0))
-    batched = int(counters.get("serve.batched", 0))
-    return {
-        "requests": int(counters.get("serve.requests", 0)),
-        "admitted": int(counters.get("serve.admitted", 0)),
-        "rejected": int(counters.get("serve.rejected", 0)),
-        "expired": int(counters.get("serve.expired", 0)),
-        "cancelled": int(counters.get("serve.cancelled", 0)),
-        "errored": int(counters.get("serve.errored", 0)),
-        "completed": int(counters.get("serve.completed", 0)),
-        "batches": batches,
-        "batched": batched,
-        "mean_batch_size": (batched / batches) if batches else None,
-        "batch_size_hist": hist,
-        "latency_p50_s": _percentile(samples, 0.50),
-        "latency_p95_s": _percentile(samples, 0.95),
-        "latency_p99_s": _percentile(samples, 0.99),
-        "shards": list(shards or []),
-    }
+
+    name: str
+    schema: dict
+    value: Callable[[dict, Callable[[str], list], list], Any]
+    rollup: Callable[[Any], Any] = lambda value: value
+    rollup_schema: dict | None = None
+    check: Callable[[Any, str], None] | None = None
 
 
-#: Keys of the ``report["surrogate"]`` section (schema v5).
-REQUIRED_SURROGATE_KEYS = (
-    "fits",
-    "predictions",
-    "screened",
-    "simulated",
-    "sims_avoided",
-    "verify_misses",
-    "fallbacks",
-    "avoid_rate",
-    "fit_latency_p50_s",
-    "predict_latency_p50_s",
+def _counter(name: str, source: str) -> Field:
+    """The integer counter ``source`` (0 when never bumped)."""
+    return Field(name, _INT, lambda c, _s, _sh: int(c.get(source, 0)))
+
+
+def _counters(prefix: str, *names: str) -> tuple[Field, ...]:
+    """One :func:`_counter` per name, read from ``prefix + name``."""
+    return tuple(_counter(name, prefix + name) for name in names)
+
+
+def _ratio(name: str, num: tuple[str, ...], den: tuple[str, ...]) -> Field:
+    """Sum of the ``num`` counters over sum of the ``den`` counters;
+    None while the denominator is 0."""
+    def value(c, _s, _sh):
+        d = _total(c, den)
+        return _total(c, num) / d if d else None
+    return Field(name, _NUMBER_OR_NULL, value)
+
+
+def _percentile(name: str, sample: str, q: float) -> Field:
+    """Nearest-rank ``q`` percentile of the ``sample`` observations.
+
+    Name it ``*_s``: wall-clock values are volatile and stripped from
+    structural digests.
+    """
+    return Field(name, _NUMBER_OR_NULL,
+                 lambda _c, s, _sh: _nearest_rank(s(sample), q))
+
+
+def _histogram(name: str, prefix: str) -> Field:
+    """``{suffix: n}`` over the counters named ``prefix + suffix``."""
+    return Field(name, {"type": "object"}, lambda c, _s, _sh: {
+        key[len(prefix):]: int(n) for key, n in sorted(c.items())
+        if key.startswith(prefix)})
+
+
+#: Keys and JSON types of each entry of a fleet's shard list.  The
+#: outcome counters are router-observed (every settle crosses the
+#: router), so they stay correct even when the shard itself crashed.
+SHARD_FIELDS = {"shard": "integer", "condemned": "boolean",
+                **dict.fromkeys(("restarts", "routed", "rerouted", "completed",
+                                 "expired", "cancelled", "errored"),
+                                "integer")}
+
+
+def _check_shards(value: Any, where: str) -> None:
+    if not isinstance(value, list):
+        raise SchemaError(
+            f"{where} must be a list, got {type(value).__name__}")
+    for i, entry in enumerate(value):
+        _require(entry, SHARD_FIELDS, f"{where}[{i}]")
+
+
+def _shard_list(name: str) -> Field:
+    """The per-shard breakdown of a :class:`repro.serve.ShardRouter`
+    fleet — ``[]`` for one engine, so ``sum over shards == fleet
+    total`` is checkable whenever it is non-empty.  Rolls up as the
+    fleet width."""
+    return Field(name, {"type": "array", "items": {"$ref": "#/$defs/shard"}},
+                 lambda _c, _s, shards: list(shards), rollup=len,
+                 rollup_schema=_INT, check=_check_shards)
+
+
+@dataclass(frozen=True)
+class Section:
+    """One report section, always present (all-zero, ratios and
+    percentiles None, when a run never touched its layer) so consumers
+    never need an existence check.
+
+    ``fields`` are in report order.  ``rollups`` maps a manifest schema
+    version to the fields that version added as ``<section>_<field>``
+    rollups; the version orders the manifest's rollups.
+    """
+
+    name: str
+    fields: tuple[Field, ...]
+    rollups: Mapping[int, tuple[str, ...]]
+
+    def field(self, name: str) -> Field:
+        return next(f for f in self.fields if f.name == name)
+
+    def render(self, counters: dict, samples: Callable[[str], list],
+               shards: Sequence[dict]) -> dict:
+        return {f.name: f.value(counters, samples, shards)
+                for f in self.fields}
+
+    def schema(self) -> dict:
+        return {"type": "object", "required": [f.name for f in self.fields],
+                "properties": {f.name: f.schema for f in self.fields}}
+
+
+#: Every report section, in report order (schema version that added it).
+SECTIONS = (
+    # v3: the shared factor-once/solve-many layer (repro.analysis.solver).
+    Section("solver", (
+        _counter("factorizations", "solver.factorizations"),
+        _counter("dense", "solver.factor_dense"),
+        _counter("sparse", "solver.factor_sparse"),
+        *_counters("solver.", "solves", "cache_hits", "cache_misses"),
+        _ratio("hit_rate", ("solver.cache_hits",),
+               ("solver.cache_hits", "solver.cache_misses")),
+    ), rollups={2: ("factorizations", "solves", "hit_rate")}),
+    # v4: the serving layer (repro.serve); the histogram is bumped once
+    # per dispatched batch, the latencies are per request; v7: shards.
+    Section("serve", (
+        *_counters("serve.", "requests", "admitted", "rejected", "expired",
+                   "cancelled", "errored", "completed", "batches",
+                   "batched"),
+        _ratio("mean_batch_size", ("serve.batched",), ("serve.batches",)),
+        _histogram("batch_size_hist", "serve.batch_size."),
+        _percentile("latency_p50_s", "serve.latency_s", 0.50),
+        _percentile("latency_p95_s", "serve.latency_s", 0.95),
+        _percentile("latency_p99_s", "serve.latency_s", 0.99),
+        _shard_list("shards"),
+    ), rollups={3: ("requests", "rejected", "expired", "batches",
+                    "mean_batch_size"),
+                6: ("shards",)}),
+    # v5: surrogate screening (repro.surrogate).
+    Section("surrogate", (
+        *_counters("surrogate.", "fits", "predictions", "screened",
+                   "simulated", "sims_avoided", "verify_misses", "fallbacks"),
+        _ratio("avoid_rate", ("surrogate.sims_avoided",),
+               ("surrogate.screened",)),
+        _percentile("fit_latency_p50_s", "surrogate.fit_s", 0.50),
+        _percentile("predict_latency_p50_s", "surrogate.predict_s", 0.50),
+    ), rollups={4: ("fits", "predictions", "sims_avoided", "verify_misses",
+                    "avoid_rate")}),
+    # v6: the batcher= path of EvaluationEngine.map_evaluate.
+    Section("kernel", (
+        *_counters("kernel.", "groups", "batches", "batched_points",
+                   "scalar_points", "member_fallbacks", "group_fallbacks",
+                   "fault_exclusions"),
+        _ratio("mean_batch_points", ("kernel.batched_points",),
+               ("kernel.batches",)),
+        _percentile("batch_latency_p50_s", "kernel.batch_s", 0.50),
+    ), rollups={5: ("batches", "batched_points", "scalar_points",
+                    "mean_batch_points")}),
+    # v8: the topology-generation funnel (repro.synthesis.compose).
+    # interval_unproven: candidates the interval selector let through
+    # unproven; prune_ratio: ranked structures per sized survivor, the
+    # cut symbolic pruning made before any simulation ran.
+    Section("topogen", (
+        *_counters("topogen.", "generated", "valid", "invalid"),
+        _counter("interval_unproven", "topology.interval_unproven"),
+        *_counters("topogen.", "symbolic_ranked", "symbolic_fallbacks",
+                   "pruned_out", "survivors", "sized"),
+        _ratio("prune_ratio",
+               ("topogen.symbolic_ranked", "topogen.symbolic_fallbacks"),
+               ("topogen.survivors",)),
+    ), rollups={7: ("generated", "valid", "survivors", "sized",
+                    "prune_ratio")}),
+    # v9: the memory-macro flow (repro.macro).  width_rejected: the
+    # power grid's non-positive-width rejections; detour_rate: share of
+    # routed rails the mesh router's A* jogged around a keepout.
+    Section("macro", (
+        *_counters("macrogen.", "tiled", "units"),
+        _counter("rails", "macrogen.rails_routed"),
+        _counter("detours", "macrogen.rail_detours"),
+        *_counters("macrogen.", "vias", "blockage_violations", "signoffs",
+                   "em_violations"),
+        _counter("width_rejected", "powergrid.width_rejected"),
+        _ratio("detour_rate", ("macrogen.rail_detours",),
+               ("macrogen.rails_routed",)),
+    ), rollups={8: ("tiled", "units", "rails", "vias", "signoffs",
+                    "blockage_violations")}),
 )
 
+#: Keys every ``report()`` dict must contain: telemetry, executor, cache
+#: and spans, then one per section.
+REQUIRED_REPORT_KEYS = ("schema_version", "counters", "timers", "failures",
+                        "executor", "cache", "spans",
+                        *(section.name for section in SECTIONS))
 
-def surrogate_rollup(counters: dict, fit_samples: list | None = None,
-                     predict_samples: list | None = None) -> dict:
-    """Fold the ``surrogate.*`` counters into the report section.
 
-    All-zero (``avoid_rate`` and percentiles None) when a run never used
-    surrogate screening — the section is always present, like ``solver``
-    and ``serve``, so consumers never need an existence check.  Latency
-    percentiles are nearest-rank over the ``surrogate.fit_s`` /
-    ``surrogate.predict_s`` telemetry samples (keys end in ``_s``:
-    wall-clock values are volatile and stripped from structural digests).
+def render_report(telemetry, *, executor: dict, cache: dict | None,
+                  spans: list, shards: Sequence[dict] = ()) -> dict:
+    """The versioned report of one engine or of a whole fleet.
+
+    ``telemetry`` (a :class:`~repro.engine.telemetry.Telemetry`) supplies
+    counters, timers, failures and the samples behind the percentiles;
+    ``shards`` is a fleet's per-shard breakdown (empty for one engine).
     """
-    screened = int(counters.get("surrogate.screened", 0))
-    avoided = int(counters.get("surrogate.sims_avoided", 0))
-    return {
-        "fits": int(counters.get("surrogate.fits", 0)),
-        "predictions": int(counters.get("surrogate.predictions", 0)),
-        "screened": screened,
-        "simulated": int(counters.get("surrogate.simulated", 0)),
-        "sims_avoided": avoided,
-        "verify_misses": int(counters.get("surrogate.verify_misses", 0)),
-        "fallbacks": int(counters.get("surrogate.fallbacks", 0)),
-        "avoid_rate": (avoided / screened) if screened else None,
-        "fit_latency_p50_s": _percentile(list(fit_samples or []), 0.50),
-        "predict_latency_p50_s": _percentile(list(predict_samples or []),
-                                             0.50),
-    }
+    out = telemetry.report()
+    out["schema_version"] = REPORT_SCHEMA_VERSION
+    out["executor"] = executor
+    out["cache"] = cache
+    out["spans"] = spans
+    for section in SECTIONS:
+        out[section.name] = section.render(
+            out["counters"], telemetry.sample_values, shards)
+    return out
 
 
-#: Keys of the ``report["kernel"]`` section (schema v6).
-REQUIRED_KERNEL_KEYS = (
-    "groups",
-    "batches",
-    "batched_points",
-    "scalar_points",
-    "member_fallbacks",
-    "group_fallbacks",
-    "fault_exclusions",
-    "mean_batch_points",
-    "batch_latency_p50_s",
-)
+def _rollup_fields() -> list[tuple[Section, Field]]:
+    """Every rolled-up ``(section, field)`` in manifest order: by the
+    manifest version that added it, then registry order."""
+    added = [(version, section, section.field(name))
+             for section in SECTIONS
+             for version, names in section.rollups.items()
+             for name in names]
+    return [(section, f)
+            for _, section, f in sorted(added, key=lambda a: a[0])]
 
 
-def kernel_rollup(counters: dict, batch_samples: list | None = None) -> dict:
-    """Fold the ``kernel.*`` counters into the report section.
-
-    All-zero (``mean_batch_points`` and the latency percentile None) when
-    a run never used a batched-evaluation kernel — the section is always
-    present, like ``solver``/``serve``/``surrogate``, so consumers never
-    need an existence check.  The latency percentile is nearest-rank over
-    the ``kernel.batch_s`` telemetry samples (keys end in ``_s``:
-    wall-clock values are volatile and stripped from structural digests).
-    """
-    batches = int(counters.get("kernel.batches", 0))
-    batched = int(counters.get("kernel.batched_points", 0))
-    return {
-        "groups": int(counters.get("kernel.groups", 0)),
-        "batches": batches,
-        "batched_points": batched,
-        "scalar_points": int(counters.get("kernel.scalar_points", 0)),
-        "member_fallbacks": int(counters.get("kernel.member_fallbacks", 0)),
-        "group_fallbacks": int(counters.get("kernel.group_fallbacks", 0)),
-        "fault_exclusions": int(counters.get("kernel.fault_exclusions", 0)),
-        "mean_batch_points": (batched / batches) if batches else None,
-        "batch_latency_p50_s": _percentile(list(batch_samples or []), 0.50),
-    }
-
-
-#: Keys of the ``report["topogen"]`` section (schema v8).
-REQUIRED_TOPOGEN_KEYS = (
-    "generated",
-    "valid",
-    "invalid",
-    "interval_unproven",
-    "symbolic_ranked",
-    "symbolic_fallbacks",
-    "pruned_out",
-    "survivors",
-    "sized",
-    "prune_ratio",
-)
-
-
-def topogen_rollup(counters: dict) -> dict:
-    """Fold the ``topogen.*`` counters into the report section.
-
-    All-zero (``prune_ratio`` None) when a run never touched the
-    compositional topology-generation funnel — the section is always
-    present, like the other rollups, so consumers never need an
-    existence check.  ``interval_unproven`` is the interval selector's
-    unproven-pass count (``topology.interval_unproven``): candidates the
-    funnel let through because their model was not interval-provable.
-    ``prune_ratio`` is ranked-structures / sized-survivors — the cut the
-    symbolic pruning pass achieved before any simulation ran.
-    """
-    ranked = int(counters.get("topogen.symbolic_ranked", 0)) \
-        + int(counters.get("topogen.symbolic_fallbacks", 0))
-    survivors = int(counters.get("topogen.survivors", 0))
-    return {
-        "generated": int(counters.get("topogen.generated", 0)),
-        "valid": int(counters.get("topogen.valid", 0)),
-        "invalid": int(counters.get("topogen.invalid", 0)),
-        "interval_unproven": int(
-            counters.get("topology.interval_unproven", 0)),
-        "symbolic_ranked": int(counters.get("topogen.symbolic_ranked", 0)),
-        "symbolic_fallbacks": int(
-            counters.get("topogen.symbolic_fallbacks", 0)),
-        "pruned_out": int(counters.get("topogen.pruned_out", 0)),
-        "survivors": survivors,
-        "sized": int(counters.get("topogen.sized", 0)),
-        "prune_ratio": (ranked / survivors) if survivors else None,
-    }
-
-
-#: Keys of the ``report["macro"]`` section (schema v9).
-REQUIRED_MACRO_KEYS = (
-    "tiled",
-    "units",
-    "rails",
-    "detours",
-    "vias",
-    "blockage_violations",
-    "signoffs",
-    "em_violations",
-    "width_rejected",
-    "detour_rate",
-)
-
-
-def macro_rollup(counters: dict) -> dict:
-    """Fold the ``macrogen.*`` counters into the report section.
-
-    All-zero (``detour_rate`` None) when a run never touched the
-    memory-macro flow — the section is always present, like the other
-    rollups, so consumers never need an existence check.
-    ``width_rejected`` is the power grid's non-positive-width rejection
-    count (``powergrid.width_rejected``); ``detour_rate`` is the
-    fraction of routed rails the mesh router's A* had to jog around a
-    blockage-map keepout.
-    """
-    rails = int(counters.get("macrogen.rails_routed", 0))
-    detours = int(counters.get("macrogen.rail_detours", 0))
-    return {
-        "tiled": int(counters.get("macrogen.tiled", 0)),
-        "units": int(counters.get("macrogen.units", 0)),
-        "rails": rails,
-        "detours": detours,
-        "vias": int(counters.get("macrogen.vias", 0)),
-        "blockage_violations": int(
-            counters.get("macrogen.blockage_violations", 0)),
-        "signoffs": int(counters.get("macrogen.signoffs", 0)),
-        "em_violations": int(counters.get("macrogen.em_violations", 0)),
-        "width_rejected": int(counters.get("powergrid.width_rejected", 0)),
-        "detour_rate": (detours / rails) if rails else None,
-    }
-
-
-_SCHEMA_PATH = Path(__file__).with_name("run_manifest_schema.json")
-
-
-class SchemaError(ValueError):
-    """An instance does not match its declared schema."""
+def section_rollups(report: dict) -> dict:
+    """The manifest's ``<section>_<field>`` rollups of a report."""
+    return {f"{section.name}_{f.name}": f.rollup(report[section.name][f.name])
+            for section, f in _rollup_fields()}
 
 
 def check_report(report: dict) -> None:
@@ -391,57 +343,48 @@ def check_report(report: dict) -> None:
     for key in ("total", "by_type", "records"):
         if key not in failures:
             raise SchemaError(f"report['failures'] missing {key!r}")
-    solver = report["solver"]
-    missing_solver = [k for k in REQUIRED_SOLVER_KEYS if k not in solver]
-    if missing_solver:
-        raise SchemaError(
-            f"report['solver'] missing keys: {missing_solver}")
-    serve = report["serve"]
-    missing_serve = [k for k in REQUIRED_SERVE_KEYS if k not in serve]
-    if missing_serve:
-        raise SchemaError(
-            f"report['serve'] missing keys: {missing_serve}")
-    if not isinstance(serve["shards"], list):
-        raise SchemaError(
-            f"report['serve']['shards'] must be a list, got "
-            f"{type(serve['shards']).__name__}")
-    for i, entry in enumerate(serve["shards"]):
-        missing_shard = [k for k in REQUIRED_SHARD_KEYS if k not in entry]
-        if missing_shard:
-            raise SchemaError(
-                f"report['serve']['shards'][{i}] missing keys: "
-                f"{missing_shard}")
-    surrogate = report["surrogate"]
-    missing_surrogate = [k for k in REQUIRED_SURROGATE_KEYS
-                         if k not in surrogate]
-    if missing_surrogate:
-        raise SchemaError(
-            f"report['surrogate'] missing keys: {missing_surrogate}")
-    kernel = report["kernel"]
-    missing_kernel = [k for k in REQUIRED_KERNEL_KEYS if k not in kernel]
-    if missing_kernel:
-        raise SchemaError(
-            f"report['kernel'] missing keys: {missing_kernel}")
-    topogen = report["topogen"]
-    missing_topogen = [k for k in REQUIRED_TOPOGEN_KEYS if k not in topogen]
-    if missing_topogen:
-        raise SchemaError(
-            f"report['topogen'] missing keys: {missing_topogen}")
-    macro = report["macro"]
-    missing_macro = [k for k in REQUIRED_MACRO_KEYS if k not in macro]
-    if missing_macro:
-        raise SchemaError(
-            f"report['macro'] missing keys: {missing_macro}")
+    for section in SECTIONS:
+        body = report[section.name]
+        where = f"report[{section.name!r}]"
+        _require(body, [f.name for f in section.fields], where)
+        for f in section.fields:
+            if f.check is not None:
+                f.check(body[f.name], f"{where}[{f.name!r}]")
+
+
+def _require(obj: dict, keys, where: str) -> None:
+    missing = [k for k in keys if k not in obj]
+    if missing:
+        raise SchemaError(f"{where} missing keys: {missing}")
 
 
 def manifest_schema() -> dict:
-    """The checked-in JSON Schema for the run manifest."""
+    """The run manifest's JSON Schema.
+
+    The checked-in ``run_manifest_schema.json`` holds the parts no
+    section declares; every section's schema, its rollups and the shard
+    entry are generated from :data:`SECTIONS` here.
+    """
     with open(_SCHEMA_PATH) as fh:
-        return json.load(fh)
+        schema = json.load(fh)
+    report = schema["properties"]["report"]
+    for section in SECTIONS:
+        report["required"].append(section.name)
+        report["properties"][section.name] = copy.deepcopy(section.schema())
+    rollups = schema["properties"]["rollups"]
+    for section, f in _rollup_fields():
+        name = f"{section.name}_{f.name}"
+        rollups["required"].append(name)
+        rollups["properties"][name] = copy.deepcopy(
+            f.rollup_schema or f.schema)
+    schema["$defs"]["shard"] = {
+        "type": "object", "required": list(SHARD_FIELDS),
+        "properties": {k: {"type": t} for k, t in SHARD_FIELDS.items()}}
+    return schema
 
 
 def validate_manifest(manifest: dict) -> None:
-    """Validate a run manifest against the checked-in JSON Schema."""
+    """Validate a run manifest against :func:`manifest_schema`."""
     validate(manifest, manifest_schema())
     check_report(manifest["report"])
 

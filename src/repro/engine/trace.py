@@ -51,7 +51,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Iterator
 
-from repro.engine.schema import MANIFEST_SCHEMA_VERSION
+from repro.engine.schema import MANIFEST_SCHEMA_VERSION, section_rollups
 from repro.engine.telemetry import Telemetry
 
 # ----------------------------------------------------------------------
@@ -88,6 +88,17 @@ def suspended() -> Iterator[None]:
 def span_if(tracer: "Tracer | None", name: str):
     """``tracer.span(name)`` or a no-op context when there is no tracer."""
     return tracer.span(name) if tracer is not None else nullcontext()
+
+
+def count(name: str, n: int = 1) -> None:
+    """Bump counter ``name`` on the active tracer; a no-op without one.
+
+    The single gate for layer counters (``solver.*``, ``analysis.*``,
+    ``macrogen.*``, ``powergrid.*``) that no engine is passed down to.
+    """
+    tracer = current_tracer()
+    if tracer is not None:
+        tracer.count(name, n)
 
 
 # ----------------------------------------------------------------------
@@ -323,37 +334,7 @@ def build_manifest(flow: str, engine, seed: int | None = None,
             "retries": int(report["executor"].get("retries", 0)),
             "cache_hit_rate": (cache or {}).get("hit_rate")
             if cache is not None else None,
-            "solver_factorizations": report["solver"]["factorizations"],
-            "solver_solves": report["solver"]["solves"],
-            "solver_hit_rate": report["solver"]["hit_rate"],
-            "serve_requests": report["serve"]["requests"],
-            "serve_rejected": report["serve"]["rejected"],
-            "serve_expired": report["serve"]["expired"],
-            "serve_batches": report["serve"]["batches"],
-            "serve_mean_batch_size": report["serve"]["mean_batch_size"],
-            "serve_shards": len(report["serve"]["shards"]),
-            "surrogate_fits": report["surrogate"]["fits"],
-            "surrogate_predictions": report["surrogate"]["predictions"],
-            "surrogate_sims_avoided": report["surrogate"]["sims_avoided"],
-            "surrogate_verify_misses": report["surrogate"]["verify_misses"],
-            "surrogate_avoid_rate": report["surrogate"]["avoid_rate"],
-            "kernel_batches": report["kernel"]["batches"],
-            "kernel_batched_points": report["kernel"]["batched_points"],
-            "kernel_scalar_points": report["kernel"]["scalar_points"],
-            "kernel_mean_batch_points":
-                report["kernel"]["mean_batch_points"],
-            "topogen_generated": report["topogen"]["generated"],
-            "topogen_valid": report["topogen"]["valid"],
-            "topogen_survivors": report["topogen"]["survivors"],
-            "topogen_sized": report["topogen"]["sized"],
-            "topogen_prune_ratio": report["topogen"]["prune_ratio"],
-            "macro_tiled": report["macro"]["tiled"],
-            "macro_units": report["macro"]["units"],
-            "macro_rails": report["macro"]["rails"],
-            "macro_vias": report["macro"]["vias"],
-            "macro_signoffs": report["macro"]["signoffs"],
-            "macro_blockage_violations":
-                report["macro"]["blockage_violations"],
+            **section_rollups(report),
         },
     }
 

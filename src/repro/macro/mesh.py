@@ -31,7 +31,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from repro.engine.trace import current_tracer
+from repro.engine.trace import count
 from repro.layout.geometry import Cell, Rect
 from repro.layout.gridsearch import grid_search, manhattan, move
 from repro.layout.technology import LAYER_METAL1, LAYER_METAL2, LAYER_VIA1
@@ -41,12 +41,6 @@ from repro.msystem.powergrid import SHEET_RES, GridSegment, PowerGrid
 
 class MeshRoutingError(RuntimeError):
     """The mesh cannot be routed (no legal track, or no A* path)."""
-
-
-def _count(name: str, n: int = 1) -> None:
-    tracer = current_tracer()
-    if tracer is not None:
-        tracer.count(name, n)
 
 
 #: Via stitch equivalent: a short fat segment whose sheet resistance
@@ -393,11 +387,11 @@ def route_mesh(macro: TiledMacro, spec: MeshSpec) -> MeshResult:
                 f"ring corner ({i}, {j}) has no horizontal-rail node")
         pad_nodes.append(idx)
 
-    _count("macrogen.rails_routed", len(rails))
-    _count("macrogen.rail_detours", sum(1 for r in rails if r.detoured))
-    _count("macrogen.vias", len(via_segments))
+    count("macrogen.rails_routed", len(rails))
+    count("macrogen.rail_detours", sum(1 for r in rails if r.detoured))
+    count("macrogen.vias", len(via_segments))
     if violations:
-        _count("macrogen.blockage_violations", violations)
+        count("macrogen.blockage_violations", violations)
     result = MeshResult(macro, spec, rails, node_names, node_pos,
                         rail_segments, via_segments, pad_nodes, cell,
                         blockage_violations=violations, _index=index)

@@ -27,17 +27,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.engine.trace import current_tracer, span_if
+from repro.engine.trace import count, current_tracer, span_if
 from repro.macro.mesh import MeshResult, MeshRoutingError, MeshSpec, route_mesh
 from repro.macro.tiling import MacroSpec, TiledMacro, tile_macro
 from repro.msystem.powergrid import PowerGrid
 from repro.opt.anneal import AnnealSchedule, ContinuousSpace, anneal_continuous
-
-
-def _count(name: str, n: int = 1) -> None:
-    tracer = current_tracer()
-    if tracer is not None:
-        tracer.count(name, n)
 
 
 @dataclass(frozen=True)
@@ -129,9 +123,9 @@ def signoff_mesh(macro: TiledMacro, mesh: MeshResult,
     em = grid.em_violations()
     feasible = (ir <= spec.max_ir_drop and droop <= spec.max_droop
                 and not em and mesh.blockage_violations == 0)
-    _count("macrogen.signoffs")
+    count("macrogen.signoffs")
     if em:
-        _count("macrogen.em_violations", len(em))
+        count("macrogen.em_violations", len(em))
     return MacroSignoff(mesh, grid, mesh.metal_area(), ir, droop, em,
                         feasible)
 

@@ -31,7 +31,7 @@ from itertools import product
 
 import numpy as np
 
-from repro.engine.trace import current_tracer
+from repro.engine.trace import count
 from repro.layout.geometry import Cell, Rect
 from repro.layout.technology import (
     DEFAULT_TECH,
@@ -46,12 +46,6 @@ from repro.layout.technology import (
 
 class MacroTilingError(ValueError):
     """A :class:`MacroSpec` that cannot be tiled (non-positive geometry)."""
-
-
-def _count(name: str, n: int = 1) -> None:
-    tracer = current_tracer()
-    if tracer is not None:
-        tracer.count(name, n)
 
 
 @dataclass(frozen=True)
@@ -123,18 +117,18 @@ class BlockageMap:
         """4-connected component label of every crossing, 0 where
         blocked: labelled once per map, however many rails it carries."""
         labels = np.zeros((self.nx, self.ny), int)
-        count = 0
+        n_components = 0
         for seed in product(range(self.nx), range(self.ny)):
             if labels[seed] or not self.is_free(*seed):
                 continue
-            count += 1
-            labels[seed] = count
+            n_components += 1
+            labels[seed] = n_components
             stack = [seed]
             while stack:
                 i, j = stack.pop()
                 for nxt in ((i + 1, j), (i - 1, j), (i, j + 1), (i, j - 1)):
                     if self.is_free(*nxt) and not labels[nxt]:
-                        labels[nxt] = count
+                        labels[nxt] = n_components
                         stack.append(nxt)
         return labels
 
@@ -296,7 +290,7 @@ def tile_macro(spec: MacroSpec,
                            key=lambda ij: (abs(ij[0] - i) + abs(ij[1] - j),
                                            ij))
             taps[(i, j)] = taps.get((i, j), 0) + 1
-    _count("macrogen.tiled")
-    _count("macrogen.units", rows * cols)
+    count("macrogen.tiled")
+    count("macrogen.units", rows * cols)
     return TiledMacro(spec, cell, blockages, unit_w, unit_h,
                       wordline_ports, bitline_ports, taps)

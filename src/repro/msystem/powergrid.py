@@ -31,6 +31,7 @@ import scipy.sparse as sp
 
 from repro.analysis import solver as _solver
 from repro.awe import MomentEngine, PadeError, pade_model
+from repro.engine.trace import count
 from repro.msystem.blocks import BlockKind
 from repro.msystem.floorplan import FloorplanResult
 from repro.opt.anneal import AnnealSchedule, ContinuousSpace, anneal_continuous
@@ -63,10 +64,7 @@ class GridSegment:
 
     def __post_init__(self) -> None:
         if self.width_nm <= 0:
-            from repro.engine.trace import current_tracer
-            tracer = current_tracer()
-            if tracer is not None:
-                tracer.count("powergrid.width_rejected")
+            count("powergrid.width_rejected")
             raise GridWidthError(
                 f"segment {self.name!r} has non-positive width "
                 f"{self.width_nm} nm")

@@ -64,15 +64,7 @@ from typing import Any, Callable
 
 from repro.engine.cache import EvalCache, canonical_key
 from repro.engine.config import EngineConfig, ServeConfig
-from repro.engine.schema import (
-    REPORT_SCHEMA_VERSION,
-    kernel_rollup,
-    macro_rollup,
-    serve_rollup,
-    solver_rollup,
-    surrogate_rollup,
-    topogen_rollup,
-)
+from repro.engine.schema import render_report
 from repro.engine.telemetry import Telemetry
 from repro.serve.admission import (
     PRIORITY_CLASSES,
@@ -147,6 +139,34 @@ class HashRing:
 # Shard worker process
 # ----------------------------------------------------------------------
 
+#: Shard-local counters the router's own (crash-proof) observations
+#: replace in the merged fleet report (``serve.rejected*`` too); everything
+#: else a shard counts — cache, solver, kernel, batching — is summed in.
+_ROUTER_OBSERVED = ("serve.requests", "serve.admitted", "serve.completed",
+                    "serve.expired", "serve.cancelled", "serve.errored")
+
+
+def _fleet_share(engine) -> tuple[Telemetry, dict | None]:
+    """What one shard adds to the fleet report: its telemetry without
+    what the router observes itself (the outcome counters and the
+    per-request latency samples), and its cache statistics.
+
+    Copies are taken with single ``dict``/``list`` calls first: the
+    broker's dispatcher thread keeps counting while this runs.
+    """
+    tele = engine.telemetry
+    counters, samples = dict(tele.counters), dict(tele.samples)
+    share = Telemetry(
+        counters={k: n for k, n in counters.items()
+                  if k not in _ROUTER_OBSERVED
+                  and not k.startswith("serve.rejected")},
+        timers=dict(tele.timers),
+        failure_records=list(tele.failure_records),
+        samples={k: list(v) for k, v in samples.items()
+                 if k != "serve.latency_s"})
+    return share, engine.cache.report() if engine.cache is not None else None
+
+
 def _shard_main(conn, shard_id: int, config: EngineConfig,
                 workloads: dict[str, Workload]) -> None:
     """Entry point of one shard process: a broker serving one pipe.
@@ -214,12 +234,12 @@ def _shard_main(conn, shard_id: int, config: EngineConfig,
             if handle is not None:
                 handle.cancel()
         elif kind == "report":
-            send(("report", broker.report()))
+            send(("report", _fleet_share(broker.engine)))
         elif kind == "crash":
             os._exit(13)  # test hook: die without cleanup, like a segfault
         elif kind == "close":
             broker.close(drain=msg[1])
-            send(("closed", broker.report()))
+            send(("closed", _fleet_share(broker.engine)))
             closed = True
             break
     if not closed:
@@ -233,18 +253,6 @@ def _shard_main(conn, shard_id: int, config: EngineConfig,
 
 _SHARD_OUTCOMES = ("routed", "rerouted", "completed", "expired",
                    "cancelled", "errored")
-
-#: Shard-local counters the router's own (crash-proof) observations
-#: replace in the merged fleet report; everything else a shard counts —
-#: cache, solver, kernel, batching — is summed in as-is.
-_ROUTER_OBSERVED = ("serve.requests", "serve.admitted", "serve.completed",
-                    "serve.expired", "serve.cancelled", "serve.errored")
-
-
-def _keep_shard_counter(name: str) -> bool:
-    return name not in _ROUTER_OBSERVED \
-        and not name.startswith("serve.rejected")
-
 
 @dataclass
 class _Shard:
@@ -261,7 +269,7 @@ class _Shard:
     counters: dict[str, int] = field(default_factory=lambda: {
         k: 0 for k in _SHARD_OUTCOMES})
     replies: "queue.Queue" = field(default_factory=queue.Queue)
-    last_report: dict | None = None
+    last_report: tuple[Telemetry, dict | None] | None = None
 
 
 @dataclass
@@ -495,65 +503,37 @@ class ShardRouter:
             }
 
     def report(self) -> dict:
-        """Merged fleet report — schema v7, :func:`check_report`-clean.
+        """Merged fleet report, :func:`check_report`-clean.
 
-        Outcome counters and latency percentiles are router-observed
-        (exact under crashes); engine-side counters (cache, solver,
-        kernel, batching) are summed from per-shard reports fetched over
-        the pipe, falling back to each shard's last known report when it
-        can no longer answer.  ``serve.shards`` carries the per-shard
+        One :class:`Telemetry` merges the router's own (outcome counters
+        and latency samples: exact under crashes) with every shard's
+        share (:func:`_fleet_share`: cache, solver, kernel, batching
+        counters, timers, failures and samples), fetched over the pipe,
+        falling back to each shard's last known share when it can no
+        longer answer.  ``serve.shards`` carries the per-shard
         breakdown; its outcome columns sum to the fleet totals.
         """
-        shard_reports = [self._shard_report(s) for s in self._shards]
+        shares = [self._shard_report(s) for s in self._shards]
+        fleet = Telemetry()
         with self._cond:
-            out = self._telemetry.report()
-            latency = list(self._telemetry.sample_values("serve.latency_s"))
+            fleet.merge(self._telemetry)
             breakdown = [{
                 "shard": s.id,
                 "condemned": bool(s.condemned),
                 "restarts": s.restarts,
                 **{k: s.counters[k] for k in _SHARD_OUTCOMES},
             } for s in self._shards]
-        counters = out["counters"]
-        timers = out["timers"]
-        failures = out["failures"]
         caches = []
-        for rep in shard_reports:
-            if rep is None:
-                continue
-            for name, n in rep["counters"].items():
-                if _keep_shard_counter(name):
-                    counters[name] = counters.get(name, 0) + n
-            for name, stat in rep["timers"].items():
-                mine = timers.setdefault(
-                    name, {"calls": 0, "total_s": 0.0, "mean_s": 0.0})
-                mine["calls"] += stat["calls"]
-                mine["total_s"] += stat["total_s"]
-                mine["mean_s"] = (mine["total_s"] / mine["calls"]
-                                  if mine["calls"] else 0.0)
-            failures["total"] += rep["failures"]["total"]
-            for name, n in rep["failures"]["by_type"].items():
-                failures["by_type"][name] = \
-                    failures["by_type"].get(name, 0) + n
-            failures["records"].extend(rep["failures"]["records"])
-            if rep.get("cache") is not None:
-                caches.append(rep["cache"])
-        out["schema_version"] = REPORT_SCHEMA_VERSION
-        out["executor"] = {
+        for telemetry, cache in filter(None, shares):
+            fleet.merge(telemetry)
+            if cache is not None:
+                caches.append(cache)
+        return render_report(fleet, executor={
             "mode": "sharded",
             "shards": len(self._shards),
             "condemned": sum(1 for s in self._shards if s.condemned),
             "restarts": sum(s.restarts for s in self._shards),
-        }
-        out["cache"] = self._merge_caches(caches)
-        out["spans"] = []
-        out["solver"] = solver_rollup(counters)
-        out["serve"] = serve_rollup(counters, latency, shards=breakdown)
-        out["surrogate"] = surrogate_rollup(counters)
-        out["kernel"] = kernel_rollup(counters)
-        out["topogen"] = topogen_rollup(counters)
-        out["macro"] = macro_rollup(counters)
-        return out
+        }, cache=self._merge_caches(caches), spans=[], shards=breakdown)
 
     def _merge_caches(self, caches: list[dict]) -> dict | None:
         if not caches:
@@ -711,9 +691,10 @@ class ShardRouter:
                     self._dispatch(rec, exclude=frozenset())
             self._cond.notify_all()
 
-    def _shard_report(self, shard: _Shard) -> dict | None:
-        """Fetch a shard's engine report, falling back to the last one
-        it managed to send before dying."""
+    def _shard_report(self, shard: _Shard
+                      ) -> tuple[Telemetry, dict | None] | None:
+        """Fetch a shard's :func:`_fleet_share`, falling back to the
+        last one it managed to send before dying."""
         with self._ask_lock:
             with self._cond:
                 live = shard.alive and not shard.closing \

@@ -20,11 +20,11 @@ from repro.engine.core import EvaluationEngine
 from repro.engine.schema import (
     MANIFEST_SCHEMA_VERSION,
     REPORT_SCHEMA_VERSION,
-    REQUIRED_MACRO_KEYS,
+    SECTIONS,
     check_report,
-    macro_rollup,
     validate_manifest,
 )
+from repro.engine.telemetry import Telemetry
 from repro.engine.trace import Tracer, finish_run
 from repro.macro import (
     MacroSpec,
@@ -244,6 +244,10 @@ class TestSignoff:
 # schema v9 / manifest v8
 # ----------------------------------------------------------------------
 
+def macro_section(counters: dict) -> dict:
+    return EvaluationEngine(telemetry=Telemetry(counters)).report()["macro"]
+
+
 class TestMacroSchema:
     def test_versions_bumped_in_lockstep(self):
         assert REPORT_SCHEMA_VERSION == 9
@@ -255,14 +259,15 @@ class TestMacroSchema:
                     "macrogen.rail_detours": 4, "macrogen.vias": 60,
                     "macrogen.signoffs": 2,
                     "powergrid.width_rejected": 1}
-        section = macro_rollup(counters)
-        assert tuple(section) == REQUIRED_MACRO_KEYS
+        section = macro_section(counters)
+        (declared,) = [s for s in SECTIONS if s.name == "macro"]
+        assert tuple(section) == tuple(f.name for f in declared.fields)
         assert section["units"] == 512
         assert section["width_rejected"] == 1
         assert section["detour_rate"] == pytest.approx(0.25)
 
     def test_rollup_all_zero_without_traffic(self):
-        section = macro_rollup({})
+        section = macro_section({})
         assert section["detour_rate"] is None
         assert all(v == 0 for k, v in section.items()
                    if k != "detour_rate")
@@ -371,6 +376,22 @@ class TestMacroFleet:
         check_report(report)
         assert len(serve_section["shards"]) == 2
 
+    def test_fleet_report_merges_shard_kernel_samples(self):
+        """The fleet's kernel percentile comes from the shards' own
+        ``kernel.batch_s`` samples, merged like their counters."""
+        serve = ServeConfig(shards=2, max_wait_ms=200.0)
+        router = ShardRouter(EngineConfig(executor="serial", serve=serve))
+        router.register(macro_workload())
+        points = [_point(h=h, v=v, hw=w) for h in (2, 3) for v in (2, 3)
+                  for w in (3_000, 3_500)]
+        with router:
+            handles = [router.submit("macro", p) for p in points]
+            assert all(h.result(timeout=120)["feasible"] for h in handles)
+            report = router.report()
+        check_report(report)
+        assert report["kernel"]["batches"] > 0
+        assert report["kernel"]["batch_latency_p50_s"] is not None
+
 
 # ----------------------------------------------------------------------
 # satellites: typed width rejection + bounded spiral search
@@ -390,7 +411,7 @@ class TestGridWidthError:
                 GridSegment("bad", 0, 1, 1_000, 0)
         counters = tracer.telemetry.report()["counters"]
         assert counters["powergrid.width_rejected"] == 1
-        assert macro_rollup(counters)["width_rejected"] == 1
+        assert macro_section(counters)["width_rejected"] == 1
 
     def test_positive_width_unclamped_resistance(self):
         seg = GridSegment("ok", 0, 1, 1_000, 500)

@@ -28,7 +28,7 @@ from hypothesis import strategies as st
 
 from repro.engine.cache import EvalCache, canonical_key, publish_pickle
 from repro.engine.config import EngineConfig, ServeConfig
-from repro.engine.schema import REQUIRED_SHARD_KEYS, check_report
+from repro.engine.schema import SHARD_FIELDS, check_report
 from repro.serve import (
     Broker,
     DeadlineExpiredError,
@@ -201,7 +201,7 @@ class TestShardRouter:
                                          + serve["errored"])
             assert len(serve["shards"]) == 3
             for entry in serve["shards"]:
-                assert set(REQUIRED_SHARD_KEYS) <= set(entry)
+                assert set(SHARD_FIELDS) <= set(entry)
             for lane in ("completed", "expired", "cancelled", "errored"):
                 assert sum(s[lane] for s in serve["shards"]) == serve[lane]
             # The batching layer ran on the shards and merged back in.

@@ -246,17 +246,18 @@ class TestFactorizationCache:
             tracer.telemetry.report()["counters"]
 
     def test_engine_report_surfaces_solver_rollup(self):
-        from repro.engine.schema import check_report, solver_rollup
+        from repro.engine import EvaluationEngine, Telemetry
+        from repro.engine.schema import check_report
         counters = {"solver.factorizations": 3, "solver.factor_dense": 2,
                     "solver.factor_sparse": 1, "solver.solves": 10,
                     "solver.cache_hits": 6, "solver.cache_misses": 4}
-        roll = solver_rollup(counters)
+        roll = EvaluationEngine(telemetry=Telemetry(counters)).report()[
+            "solver"]
         assert roll["factorizations"] == 3
         assert roll["solves"] == 10
         assert roll["hit_rate"] == pytest.approx(0.6)
-        assert solver_rollup({})["hit_rate"] is None
+        assert EvaluationEngine().report()["solver"]["hit_rate"] is None
 
-        from repro.engine import EvaluationEngine
         engine = EvaluationEngine()
         report = engine.report()
         check_report(report)  # schema v3 requires the solver section

@@ -16,11 +16,7 @@ from repro.circuits.writer import write_netlist
 from repro.core.specs import Spec, SpecSet
 from repro.engine.config import EngineConfig
 from repro.engine.core import EvaluationEngine
-from repro.engine.schema import (
-    REQUIRED_TOPOGEN_KEYS,
-    check_report,
-    topogen_rollup,
-)
+from repro.engine.schema import SECTIONS, check_report
 from repro.engine.telemetry import Telemetry
 from repro.opt.anneal import AnnealSchedule
 from repro.opt.interval import Interval
@@ -189,10 +185,16 @@ class TestFunnel:
             engine.close()
 
 
+def topogen_section(counters: dict) -> dict:
+    return EvaluationEngine(telemetry=Telemetry(counters)).report()[
+        "topogen"]
+
+
 class TestSchemaRollup:
     def test_rollup_keys_and_zero_default(self):
-        section = topogen_rollup({})
-        assert tuple(section) == REQUIRED_TOPOGEN_KEYS
+        section = topogen_section({})
+        (declared,) = [s for s in SECTIONS if s.name == "topogen"]
+        assert tuple(section) == tuple(f.name for f in declared.fields)
         assert section["prune_ratio"] is None
         assert all(v == 0 for k, v in section.items()
                    if k != "prune_ratio")
@@ -204,7 +206,7 @@ class TestSchemaRollup:
                     "topogen.pruned_out": 98, "topogen.survivors": 20,
                     "topogen.sized": 20,
                     "topology.interval_unproven": 4}
-        section = topogen_rollup(counters)
+        section = topogen_section(counters)
         assert section["generated"] == 120
         assert section["interval_unproven"] == 4
         assert section["prune_ratio"] == pytest.approx(118 / 20)

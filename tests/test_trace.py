@@ -9,8 +9,7 @@ The observability layer (repro.engine.trace / schema / config) promises:
    identical for serial and parallel executors, with and without injected
    faults — while wall-clock fields are stripped by ``strip_volatile``;
 3. ``engine.report()`` follows schema v2 and run manifests validate
-   against the checked-in JSON Schema, with a byte-stable structural
-   digest;
+   against their JSON Schema, with a byte-stable structural digest;
 4. ``Telemetry.merge`` is deterministic regardless of merge order.
 """
 
@@ -43,6 +42,12 @@ from repro.engine import (
     validate_manifest,
 )
 from repro.engine import trace as trace_mod
+from repro.engine.schema import (
+    REQUIRED_REPORT_KEYS,
+    SECTIONS,
+    SHARD_FIELDS,
+    section_rollups,
+)
 from repro.opt.anneal import AnnealSchedule
 from repro.synthesis.equation_based import DesignSpace
 from repro.synthesis.simulation_based import (
@@ -238,6 +243,74 @@ class TestEngineReportSchema:
         report = engine.report()
         report["schema_version"] = 999
         with pytest.raises(SchemaError, match="schema_version"):
+            check_report(report)
+
+    def test_section_keys_and_rollups_are_pinned(self):
+        """Every section key, in order, and every manifest rollup name:
+        a registry edit that drops or renames one fails here."""
+        report = EvaluationEngine().report()
+        assert tuple(report) == (
+            "counters", "timers", "failures", "schema_version", "executor",
+            "cache", "spans", "solver", "serve", "surrogate", "kernel",
+            "topogen", "macro")
+        assert REQUIRED_REPORT_KEYS == (
+            "schema_version", "counters", "timers", "failures", "executor",
+            "cache", "spans", "solver", "serve", "surrogate", "kernel",
+            "topogen", "macro")
+        pinned = {
+            "solver": ("factorizations", "dense", "sparse", "solves",
+                       "cache_hits", "cache_misses", "hit_rate"),
+            "serve": ("requests", "admitted", "rejected", "expired",
+                      "cancelled", "errored", "completed", "batches",
+                      "batched", "mean_batch_size", "batch_size_hist",
+                      "latency_p50_s", "latency_p95_s", "latency_p99_s",
+                      "shards"),
+            "surrogate": ("fits", "predictions", "screened", "simulated",
+                          "sims_avoided", "verify_misses", "fallbacks",
+                          "avoid_rate", "fit_latency_p50_s",
+                          "predict_latency_p50_s"),
+            "kernel": ("groups", "batches", "batched_points",
+                       "scalar_points", "member_fallbacks",
+                       "group_fallbacks", "fault_exclusions",
+                       "mean_batch_points", "batch_latency_p50_s"),
+            "topogen": ("generated", "valid", "invalid",
+                        "interval_unproven", "symbolic_ranked",
+                        "symbolic_fallbacks", "pruned_out", "survivors",
+                        "sized", "prune_ratio"),
+            "macro": ("tiled", "units", "rails", "detours", "vias",
+                      "blockage_violations", "signoffs", "em_violations",
+                      "width_rejected", "detour_rate"),
+        }
+        for section in SECTIONS:
+            assert tuple(report[section.name]) == pinned[section.name]
+        assert [s.name for s in SECTIONS] == list(pinned)
+        assert tuple(SHARD_FIELDS) == (
+            "shard", "condemned", "restarts", "routed", "rerouted",
+            "completed", "expired", "cancelled", "errored")
+        assert tuple(section_rollups(report)) == (
+            "solver_factorizations", "solver_solves", "solver_hit_rate",
+            "serve_requests", "serve_rejected", "serve_expired",
+            "serve_batches", "serve_mean_batch_size", "surrogate_fits",
+            "surrogate_predictions", "surrogate_sims_avoided",
+            "surrogate_verify_misses", "surrogate_avoid_rate",
+            "kernel_batches", "kernel_batched_points",
+            "kernel_scalar_points", "kernel_mean_batch_points",
+            "serve_shards", "topogen_generated", "topogen_valid",
+            "topogen_survivors", "topogen_sized", "topogen_prune_ratio",
+            "macro_tiled", "macro_units", "macro_rails", "macro_vias",
+            "macro_signoffs", "macro_blockage_violations")
+
+    def test_check_report_rejects_section_drift(self):
+        report = EvaluationEngine().report()
+        del report["kernel"]["batch_latency_p50_s"]
+        with pytest.raises(SchemaError, match="batch_latency_p50_s"):
+            check_report(report)
+        report = EvaluationEngine().report()
+        report["serve"]["shards"] = {}
+        with pytest.raises(SchemaError, match="must be a list"):
+            check_report(report)
+        report["serve"]["shards"] = [{"shard": 0}]
+        with pytest.raises(SchemaError, match=r"\[0\] missing keys"):
             check_report(report)
 
     def test_batch_and_failure_events_are_emitted(self):
