@@ -32,13 +32,11 @@ from pathlib import Path
 from repro.engine import (
     EngineConfig,
     MANIFEST_SCHEMA_VERSION,
-    REPORT_SCHEMA_VERSION,
     SchemaError,
     check_report,
     manifest_digest,
     validate_manifest,
 )
-from repro.engine.schema import REQUIRED_REPORT_KEYS
 from repro.opt.anneal import AnnealSchedule
 from repro.synthesis.pulse_detector import pulse_detector_flow
 
@@ -61,15 +59,9 @@ def _gate(manifest: dict) -> None:
               f"pinned {MANIFEST_SCHEMA_VERSION}")
     report = manifest["report"]
     try:
-        check_report(report)
+        check_report(report)  # report schema_version and required keys
     except SchemaError as exc:
         _fail(f"engine report drifted: {exc}")
-    if report["schema_version"] != REPORT_SCHEMA_VERSION:
-        _fail(f"report schema_version {report['schema_version']} != "
-              f"pinned {REPORT_SCHEMA_VERSION}")
-    missing = [k for k in REQUIRED_REPORT_KEYS if k not in report]
-    if missing:
-        _fail(f"report lost required keys: {missing}")
 
     flow_spans = [s for s in report["spans"]
                   if s["name"] == "pulse_detector_flow"]

@@ -21,8 +21,8 @@ all of them, and this module has one routine for each:
   the AWE moment recursion reuses one factorization of ``G``, adjoint
   sensitivities share one factorization between the forward and the
   adjoint solve, and a power grid's conductance matrix serves the
-  IR-drop, EM and droop-bound metrics.  Dense
-  (``scipy.linalg.lu_factor``) or sparse (``scipy.sparse.linalg.splu``
+  IR-drop, EM and droop-bound metrics.  Dense (LAPACK ``getrf`` /
+  ``getrs``, called directly) or sparse (``scipy.sparse.linalg.splu``
   on CSC) storage is auto-selected by matrix size and density —
   cell-level MNA stays dense, power grids go sparse — or forced with
   ``prefer_sparse``.  :class:`FactorizationCache` is a keyed LRU of
@@ -88,11 +88,16 @@ class FactorizedOperator:
     # -- solving -------------------------------------------------------
     def _solve(self, b: np.ndarray, trans: str) -> np.ndarray:
         count("solver.solves")
-        b = np.asarray(b)
         if self.mode == "dense":
-            x = sla.lu_solve(self._factors, b,
-                             trans=self._TRANS_DENSE[trans])
+            # LAPACK getrs directly: on the small systems that stay dense,
+            # scipy's lu_solve wrapper costs more than the solve.  Like
+            # lu_solve, a non-finite right-hand side is a ValueError.
+            b = np.asarray_chkfinite(b)
+            lu, piv = self._factors
+            getrs, = sla.get_lapack_funcs(("getrs",), (lu, b))
+            x, _ = getrs(lu, piv, b, trans=self._TRANS_DENSE[trans])
         else:
+            b = np.asarray(b)
             if np.iscomplexobj(b) and not np.issubdtype(
                     self.dtype, np.complexfloating):
                 # SuperLU solves in the factorization's dtype only.
@@ -103,7 +108,7 @@ class FactorizedOperator:
             else:
                 x = self._factors.solve(
                     np.ascontiguousarray(b, dtype=self.dtype), trans=trans)
-        if not np.all(np.isfinite(x)):
+        if not np.isfinite(x).all():
             raise SingularCircuitError(
                 "linear solve produced non-finite values — matrix is "
                 "singular or badly scaled")
@@ -164,14 +169,13 @@ def factorize(A: Any, prefer_sparse: bool | None = None) -> FactorizedOperator:
 
     count("solver.factor_dense")
     M = A.toarray() if is_sparse_input else np.asarray(A)
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", sla.LinAlgWarning)
-            lu, piv = sla.lu_factor(M)
-    except (ValueError, sla.LinAlgError) as exc:
-        raise SingularCircuitError(
-            "dense LU failed — matrix is singular") from exc
-    if np.any(np.diag(lu) == 0) or not np.all(np.isfinite(lu)):
+    if not np.isfinite(M).all():
+        raise SingularCircuitError("dense LU failed — matrix is singular")
+    # LAPACK getrf directly (what scipy's lu_factor calls, without its
+    # wrapper overhead); a zero pivot shows up on the diagonal below.
+    getrf, = sla.get_lapack_funcs(("getrf",), (M,))
+    lu, piv, _ = getrf(M)
+    if (np.diag(lu) == 0).any() or not np.isfinite(lu).all():
         raise SingularCircuitError(
             "MNA matrix is singular — check for floating nodes or "
             "voltage-source loops")

@@ -173,10 +173,11 @@ class MeshResult:
                          vdd: float = 3.3,
                          extra_decap: dict[int, float] | None = None,
                          ) -> PowerGrid:
-        return PowerGrid(self.segments, list(self.node_names),
-                         list(self.pad_nodes), dict(load_currents),
-                         dict(peak_currents), list(analog_nodes), vdd,
-                         dict(extra_decap or {}))
+        """The mesh as a power grid under the given loads; builds the
+        grid's :class:`~repro.msystem.powergrid.GridTopology` once."""
+        return PowerGrid(self.segments, self.node_names, self.pad_nodes,
+                         load_currents, peak_currents, analog_nodes, vdd,
+                         extra_decap)
 
 
 # ----------------------------------------------------------------------

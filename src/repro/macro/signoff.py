@@ -30,7 +30,7 @@ import numpy as np
 from repro.engine.trace import count, current_tracer, span_if
 from repro.macro.mesh import MeshResult, MeshRoutingError, MeshSpec, route_mesh
 from repro.macro.tiling import MacroSpec, TiledMacro, tile_macro
-from repro.msystem.powergrid import PowerGrid
+from repro.msystem.powergrid import PowerGrid, check_width_bounds
 from repro.opt.anneal import AnnealSchedule, ContinuousSpace, anneal_continuous
 
 
@@ -44,6 +44,9 @@ class SignoffSpec:
     max_droop: float = 0.25         # V
     min_width_nm: int = 1_200
     max_width_nm: int = 20_000
+
+    def __post_init__(self) -> None:
+        check_width_bounds(self.min_width_nm, self.max_width_nm)
 
     def describe(self) -> dict:
         return {
@@ -135,6 +138,18 @@ def _evaluate(macro: TiledMacro, mesh_spec: MeshSpec,
     return signoff_mesh(macro, route_mesh(macro, mesh_spec), spec)
 
 
+@dataclass(frozen=True)
+class _Verdict:
+    """What :func:`optimize_mesh` reads of one signoff: its metrics, not
+    the mesh, grid or layout cell behind them."""
+
+    metal_area: int
+    worst_ir_drop: float
+    worst_droop: float
+    em_violations: list[str]
+    feasible: bool
+
+
 def uniform_mesh(macro: TiledMacro, spec: SignoffSpec | None = None,
                  ) -> MacroSignoff:
     """Reference mesh: every strap corridor railed, one width for all.
@@ -169,6 +184,10 @@ def optimize_mesh(macro: TiledMacro, spec: SignoffSpec | None = None,
     to integers), then repairs any residual violation by widening /
     densifying, then greedily shrinks widths while feasibility holds —
     the same anneal/repair/shrink shape as the rail synthesizer.
+
+    The three phases propose the same integer specs again and again;
+    each distinct spec is routed and signed off once per call, and the
+    returned ``evaluations`` counts proposals.
     """
     spec = spec or SignoffSpec()
     schedule = schedule or AnnealSchedule(moves_per_temperature=24,
@@ -186,6 +205,33 @@ def optimize_mesh(macro: TiledMacro, spec: SignoffSpec | None = None,
     evaluations = [0]
     area_norm = ((macro.width_nm + macro.height_nm)
                  * (h_max + v_max) * spec.min_width_nm)
+    # The memo keeps verdicts (or the routing error), never a mesh, grid
+    # or cell; only the last signoff run is held whole.
+    verdicts: dict[MeshSpec, _Verdict | MeshRoutingError] = {}
+    latest: list[MacroSignoff] = []
+
+    def evaluate(mesh_spec: MeshSpec) -> _Verdict:
+        evaluations[0] += 1
+        verdict = verdicts.get(mesh_spec)
+        if verdict is None:
+            try:
+                result = _evaluate(macro, mesh_spec, spec)
+            except MeshRoutingError as exc:
+                verdict = exc
+            else:
+                latest[:] = [result]
+                verdict = _Verdict(result.metal_area, result.worst_ir_drop,
+                                   result.worst_droop, result.em_violations,
+                                   result.feasible)
+            verdicts[mesh_spec] = verdict
+        if isinstance(verdict, MeshRoutingError):
+            raise verdict
+        return verdict
+
+    def held(mesh_spec: MeshSpec) -> MacroSignoff | None:
+        """The full signoff of ``mesh_spec``, if it is the last one run."""
+        return latest[0] if latest and latest[0].mesh.spec == mesh_spec \
+            else None
 
     def to_mesh_spec(point: dict[str, float]) -> MeshSpec:
         return MeshSpec(int(round(point["h_rails"])),
@@ -194,9 +240,8 @@ def optimize_mesh(macro: TiledMacro, spec: SignoffSpec | None = None,
                         int(round(point["v_width_nm"])))
 
     def cost(point: dict[str, float]) -> float:
-        evaluations[0] += 1
         try:
-            result = _evaluate(macro, to_mesh_spec(point), spec)
+            result = evaluate(to_mesh_spec(point))
         except MeshRoutingError:
             return float("inf")
         value = result.metal_area / area_norm
@@ -216,8 +261,8 @@ def optimize_mesh(macro: TiledMacro, spec: SignoffSpec | None = None,
     best = to_mesh_spec(space.to_dict(anneal.best_state))
 
     # Repair: widen (and densify on droop) until feasible.
-    current = _evaluate(macro, best, spec)
-    evaluations[0] += 1
+    current = evaluate(best)
+    kept = held(best)
     for _ in range(12):
         if current.feasible:
             break
@@ -236,8 +281,8 @@ def optimize_mesh(macro: TiledMacro, spec: SignoffSpec | None = None,
         if trial == best:
             break
         best = trial
-        current = _evaluate(macro, best, spec)
-        evaluations[0] += 1
+        current = evaluate(best)
+        kept = held(best)
 
     # Shrink: greedily narrow each width while signoff holds.
     if current.feasible:
@@ -251,13 +296,17 @@ def optimize_mesh(macro: TiledMacro, spec: SignoffSpec | None = None,
                     continue
                 params[knob] = narrower
                 trial_spec = MeshSpec(**params)
-                trial = _evaluate(macro, trial_spec, spec)
-                evaluations[0] += 1
+                trial = evaluate(trial_spec)
                 if trial.feasible:
                     best, current, changed = trial_spec, trial, True
+                    kept = held(best)
 
-    current.evaluations = evaluations[0]
-    return current
+    # The final spec's signoff is kept whenever it was run when accepted;
+    # otherwise (the memo answered for it) it is run again, and that run
+    # is not an evaluation.
+    result = kept if kept is not None else _evaluate(macro, best, spec)
+    result.evaluations = evaluations[0]
+    return result
 
 
 def macro_flow(spec: MacroSpec, mesh_spec: MeshSpec | None = None,

@@ -20,11 +20,18 @@ segment's width is a design variable.  Evaluation:
 
 Synthesis minimizes metal area subject to all three constraint families —
 the dc/ac/transient constraint set of the Fig. 3 redesign.
+
+Only widths and decaps change between the candidates of one synthesis,
+so everything else is built once per grid graph in a
+:class:`GridTopology`: the segment and load index arrays, and the sparsity
+patterns of the DC matrix and the droop MNA with each stamp's slot.  A
+candidate :class:`PowerGrid` is then a width vector plus a decap map, and
+its matrices and metrics are array expressions over the shared arrays.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -43,6 +50,14 @@ PACKAGE_L = 2e-9          # H per pad
 DECAP_PER_AMP = 2e-9      # F of local decap per ampere of peak current
 SWITCH_RISE_S = 2e-9      # digital current-edge rise time
 
+#: Time points (s) at which the droop's step response is sampled.
+DROOP_TIMES = np.linspace(0.0, 100e-9, 600)
+DROOP_TIMES.flags.writeable = False
+
+#: One segment's conductance stamps, in triplet order: (a, a), (b, b),
+#: (a, b), (b, a) carry g, g, -g, -g.
+_STAMP_SIGNS = np.array([1.0, 1.0, -1.0, -1.0])
+
 
 class GridWidthError(ValueError):
     """A grid segment sized to a non-positive width.
@@ -52,6 +67,12 @@ class GridWidthError(ValueError):
     dominated every IR/EM metric.  Rejection is counted as
     ``powergrid.width_rejected`` on the active tracer.
     """
+
+
+def _reject_width(name: str, width) -> None:
+    count("powergrid.width_rejected")
+    raise GridWidthError(
+        f"segment {name!r} has non-positive width {width} nm")
 
 
 @dataclass
@@ -64,10 +85,7 @@ class GridSegment:
 
     def __post_init__(self) -> None:
         if self.width_nm <= 0:
-            count("powergrid.width_rejected")
-            raise GridWidthError(
-                f"segment {self.name!r} has non-positive width "
-                f"{self.width_nm} nm")
+            _reject_width(self.name, self.width_nm)
 
     @property
     def resistance(self) -> float:
@@ -81,95 +99,244 @@ class GridSegment:
         return EM_LIMIT_A_PER_M * (self.width_nm * 1e-9)
 
 
-@dataclass
-class PowerGrid:
-    """Electrical model of one sized grid over a floorplan."""
+def _csc_pattern(rows: np.ndarray, cols: np.ndarray, n: int):
+    """Canonical CSC pattern of ``(rows, cols)`` triplets, plus the slot
+    of each triplet in the pattern's data array.
 
-    segments: list[GridSegment]
-    node_names: list[str]
-    pad_nodes: list[int]
-    load_currents: dict[int, float]      # node -> average current (A)
-    peak_currents: dict[int, float]      # node -> switching peak (A)
-    analog_nodes: list[int]
-    vdd: float = 3.3
-    extra_decap: dict[int, float] = field(default_factory=dict)
-    _dc_cache: tuple | None = field(default=None, repr=False, compare=False)
+    ``np.bincount(slot, weights=vals)`` sums duplicate triplets in input
+    order, as scipy's COO→CSC conversion does for columns of fewer than
+    16 triplets (a node with at most 7 segments).
+    """
+    keys = cols * n + rows
+    unique, slot = np.unique(keys, return_inverse=True)
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(np.bincount(unique // n, minlength=n), out=indptr[1:])
+    return (unique % n).astype(np.int32), indptr, slot, unique
+
+
+class GridTopology:
+    """Everything about one grid that its segment widths and decaps do not
+    change, as arrays built once.
+
+    Holds the segment endpoint and length arrays; the pad, load, peak and
+    analog nodes with their currents; the DC matrix's CSC pattern and the
+    droop MNA's pattern (package branches included), each with the slot
+    of every conductance stamp; and the two right-hand sides.  Every
+    :class:`PowerGrid` sized over the topology shares these arrays.
+    """
+
+    def __init__(self, names: list[str], node_a, node_b, length_nm,
+                 node_names: list[str], pad_nodes: list[int],
+                 load_currents: dict[int, float],
+                 peak_currents: dict[int, float],
+                 analog_nodes: list[int], vdd: float = 3.3):
+        self.names = list(names)
+        self.node_names = list(node_names)
+        self.pad_nodes = list(pad_nodes)
+        self.load_currents = dict(load_currents)
+        self.peak_currents = dict(peak_currents)
+        self.analog_nodes = list(analog_nodes)
+        self.vdd = vdd
+        n = self.n_nodes = len(self.node_names)
+        a = self.node_a = np.array(node_a, dtype=np.int64)
+        b = self.node_b = np.array(node_b, dtype=np.int64)
+        self.length_nm = np.array(length_nm, dtype=np.int64)
+        pads = np.array(self.pad_nodes, dtype=np.int64)
+        self.load_index = np.fromiter(self.load_currents, np.int64,
+                                      len(self.load_currents))
+        peak_index = np.fromiter(self.peak_currents, np.int64,
+                                 len(self.peak_currents))
+        peaks = np.fromiter(self.peak_currents.values(), float,
+                            len(self.peak_currents))
+
+        # DC matrix: every segment's four stamps, then each pad's package
+        # conductance on the diagonal.
+        seg_rows = np.stack([a, b, a, b], axis=1).ravel()
+        seg_cols = np.stack([a, b, b, a], axis=1).ravel()
+        self.dc_indices, self.dc_indptr, self.dc_slot, _ = _csc_pattern(
+            np.concatenate([seg_rows, pads]),
+            np.concatenate([seg_cols, pads]), n)
+        self.pad_stamps = np.full(len(pads), 1.0 / PACKAGE_R)
+        rhs = np.zeros(n)
+        np.add.at(rhs, pads, self.vdd / PACKAGE_R)
+        rhs[self.load_index] -= np.fromiter(self.load_currents.values(),
+                                            float, len(self.load_currents))
+        self.dc_rhs = rhs
+
+        # Droop MNA: the segment stamps, then one branch-current unknown
+        # per pad (pad -> ideal vdd through R_pkg + L_pkg).
+        size = self.droop_size = n + len(pads)
+        branch = np.arange(n, size)
+        (self.droop_indices, self.droop_indptr, self.droop_slot,
+         keys) = _csc_pattern(
+            np.concatenate([seg_rows, pads, branch, branch]),
+            np.concatenate([seg_cols, branch, pads, branch]), size)
+        self.branch_stamps = np.concatenate([
+            np.ones(2 * len(pads)), np.full(len(pads), -PACKAGE_R)])
+        # The storage solver.factorize picks for this matrix held dense.
+        self.droop_sparse = (
+            size >= _solver.SPARSE_SIZE_THRESHOLD
+            and len(keys) <= _solver.SPARSE_DENSITY_THRESHOLD * size * size)
+        self.droop_flat = (keys % size) * size + keys // size
+        cap = np.zeros(size)
+        cap[branch] -= PACKAGE_L
+        cap[peak_index] += DECAP_PER_AMP * peaks + 1e-12
+        # Analog blocks carry local decap.
+        np.add.at(cap, np.array(self.analog_nodes, dtype=np.int64), 50e-12)
+        self.droop_cap = cap
+        rhs = np.zeros(size)
+        rhs[peak_index] -= peaks
+        self.droop_rhs = rhs
+        self.peak_total = sum(self.peak_currents.values(), 0.0)
+        # Shared by every sized grid and handed to the solvers as is.
+        for shared in (self.node_a, self.node_b, self.length_nm,
+                       self.dc_rhs, self.droop_cap, self.droop_rhs):
+            shared.flags.writeable = False
+
+
+class PowerGrid:
+    """Electrical model of one sized grid over a floorplan.
+
+    ``PowerGrid(segments, node_names, pad_nodes, ...)`` builds its own
+    :class:`GridTopology`; :meth:`sized` sizes an existing topology
+    without building any segment objects.
+    """
+
+    def __init__(self, segments: list[GridSegment], node_names: list[str],
+                 pad_nodes: list[int], load_currents: dict[int, float],
+                 peak_currents: dict[int, float], analog_nodes: list[int],
+                 vdd: float = 3.3,
+                 extra_decap: dict[int, float] | None = None):
+        segments = list(segments)
+        topology = GridTopology(
+            [s.name for s in segments], [s.node_a for s in segments],
+            [s.node_b for s in segments], [s.length_nm for s in segments],
+            node_names, pad_nodes, load_currents, peak_currents,
+            analog_nodes, vdd)
+        self._size(topology, [s.width_nm for s in segments], extra_decap)
+        self._segments = segments
+
+    @classmethod
+    def sized(cls, topology: GridTopology, widths,
+              extra_decap: dict[int, float] | None = None) -> PowerGrid:
+        """A grid over ``topology`` with per-segment ``widths`` (nm, in
+        ``topology.names`` order) and extra decap (F) per node."""
+        grid = cls.__new__(cls)
+        grid._size(topology, widths, extra_decap)
+        grid._segments = None
+        return grid
+
+    def _size(self, topology: GridTopology, widths,
+              extra_decap: dict[int, float] | None) -> None:
+        widths = np.asarray(widths)
+        bad = np.flatnonzero(widths <= 0)
+        if bad.size:
+            _reject_width(topology.names[bad[0]], widths[bad[0]])
+        top = self.topology = topology
+        # The topology's fields, shared by every grid sized over it.
+        self.node_names, self.pad_nodes = top.node_names, top.pad_nodes
+        self.load_currents = top.load_currents
+        self.peak_currents = top.peak_currents
+        self.analog_nodes, self.vdd = top.analog_nodes, top.vdd
+        self.n_nodes = top.n_nodes
+        self.widths = widths
+        self.extra_decap = dict(extra_decap or {})
+        self._resistance = SHEET_RES * top.length_nm / widths
+        self._dc_cache: np.ndarray | None = None
 
     @property
-    def n_nodes(self) -> int:
-        return len(self.node_names)
+    def segments(self) -> list[GridSegment]:
+        """The segments as objects, built on first use for a grid that
+        was sized from a topology."""
+        if self._segments is None:
+            top = self.topology
+            self._segments = [
+                GridSegment(name, a, b, length, width)
+                for name, a, b, length, width in zip(
+                    top.names, top.node_a.tolist(), top.node_b.tolist(),
+                    top.length_nm.tolist(), self.widths.tolist())]
+        return self._segments
 
     def metal_area(self) -> int:
-        return sum(s.metal_area for s in self.segments)
+        return (self.topology.length_nm @ self.widths).item()
 
     # ------------------------------------------------------------------
-    def _segment_triplets(self, rows: list, cols: list, vals: list) -> None:
-        for seg in self.segments:
-            g = 1.0 / seg.resistance
-            a, b = seg.node_a, seg.node_b
-            rows.extend((a, b, a, b))
-            cols.extend((a, b, b, a))
-            vals.extend((g, g, -g, -g))
+    def _segment_stamps(self) -> np.ndarray:
+        g = 1.0 / self._resistance
+        return (g[:, None] * _STAMP_SIGNS).ravel()
 
-    def _conductance_matrix(self) -> sp.csc_matrix:
-        n = self.n_nodes
-        rows: list[int] = []
-        cols: list[int] = []
-        vals: list[float] = []
-        self._segment_triplets(rows, cols, vals)
-        for pad in self.pad_nodes:
-            rows.append(pad)
-            cols.append(pad)
-            vals.append(1.0 / PACKAGE_R)
-        return sp.csc_matrix(
-            sp.coo_matrix((vals, (rows, cols)), shape=(n, n)))
-
-    def _widths_key(self) -> tuple:
-        return tuple(seg.width_nm for seg in self.segments)
+    def conductance_matrix(self) -> sp.csc_matrix:
+        """The DC nodal matrix: segment conductances plus each pad's
+        package conductance, in canonical CSC form."""
+        top = self.topology
+        data = np.bincount(
+            top.dc_slot,
+            weights=np.concatenate([self._segment_stamps(), top.pad_stamps]),
+            minlength=len(top.dc_indices))
+        return sp.csc_matrix((data, top.dc_indices, top.dc_indptr),
+                             shape=(top.n_nodes, top.n_nodes))
 
     def dc_solve(self) -> np.ndarray:
         """Node voltages with average loads (pads at vdd through R_pkg).
 
         A sparse nodal solve (CSC + sparse LU through the shared solver
-        layer), memoized per segment sizing: the IR-drop, EM-current and
-        droop-bound metrics all reuse one factorization + solve instead
-        of each re-assembling and re-solving the grid from scratch.
+        layer), memoized: the IR-drop, EM-current and droop-bound metrics
+        all reuse one factorization + solve.
         """
-        key = self._widths_key()
-        if self._dc_cache is not None and self._dc_cache[0] == key:
-            return self._dc_cache[1]
-        G = self._conductance_matrix()
-        b = np.zeros(self.n_nodes)
-        for pad in self.pad_nodes:
-            b[pad] += self.vdd / PACKAGE_R
-        for node, current in self.load_currents.items():
-            b[node] -= current
-        v = _solver.factorize(G, prefer_sparse=True).solve(b)
-        self._dc_cache = (key, v)
-        return v
+        if self._dc_cache is None:
+            self._dc_cache = _solver.factorize(
+                self.conductance_matrix(),
+                prefer_sparse=True).solve(self.topology.dc_rhs)
+        return self._dc_cache
+
+    def _ir_drops(self) -> np.ndarray:
+        return self.vdd - self.dc_solve()[self.topology.load_index]
 
     def ir_drops(self) -> dict[int, float]:
-        v = self.dc_solve()
-        return {node: self.vdd - v[node]
-                for node in self.load_currents}
+        return dict(zip(self.load_currents, self._ir_drops()))
 
     def worst_ir_drop(self) -> float:
-        drops = self.ir_drops()
-        return max(drops.values()) if drops else 0.0
+        drops = self._ir_drops()
+        return drops.max() if drops.size else 0.0
+
+    def _currents(self) -> np.ndarray:
+        v = self.dc_solve()
+        top = self.topology
+        return np.abs(v[top.node_a] - v[top.node_b]) / self._resistance
 
     def segment_currents(self) -> dict[str, float]:
-        v = self.dc_solve()
-        return {
-            seg.name: abs(v[seg.node_a] - v[seg.node_b]) / seg.resistance
-            for seg in self.segments
-        }
+        return dict(zip(self.topology.names, self._currents()))
 
     def em_violations(self) -> list[str]:
-        currents = self.segment_currents()
-        return [seg.name for seg in self.segments
-                if currents[seg.name] > seg.em_current_limit()]
+        limits = EM_LIMIT_A_PER_M * (self.widths * 1e-9)
+        names = self.topology.names
+        return [names[k]
+                for k in np.flatnonzero(self._currents() > limits)]
 
     # ------------------------------------------------------------------
+    def _droop_conductance(self):
+        """The droop MNA's G: dense, or CSC where factorize would pick
+        sparse storage anyway."""
+        top = self.topology
+        data = np.bincount(
+            top.droop_slot,
+            weights=np.concatenate([self._segment_stamps(),
+                                    top.branch_stamps]),
+            minlength=len(top.droop_indices))
+        size = top.droop_size
+        if top.droop_sparse:
+            return sp.csc_matrix((data, top.droop_indices, top.droop_indptr),
+                                 shape=(size, size))
+        G = np.zeros(size * size)
+        G[top.droop_flat] = data
+        return G.reshape(size, size)
+
+    def _droop_capacitance(self) -> np.ndarray:
+        cap = self.topology.droop_cap.copy()
+        if self.extra_decap:
+            cap[list(self.extra_decap)] += list(self.extra_decap.values())
+        return np.diag(cap)
+
     def transient_droop(self, victim: int | None = None,
                         order: int = 3) -> float:
         """Peak droop (V) at the victim node for aligned switching edges.
@@ -181,34 +348,11 @@ class PowerGrid:
         """
         if victim is None:
             victim = self._default_victim()
-        n = self.n_nodes
-        n_l = len(self.pad_nodes)
-        size = n + n_l
-        G = np.zeros((size, size))
-        C = np.zeros((size, size))
-        G[:n, :n] = self._grid_only_conductance()
-        # Package branches: pad -> ideal vdd through R_pkg + L_pkg, as a
-        # branch current unknown per pad.
-        for k, pad in enumerate(self.pad_nodes):
-            row = n + k
-            G[pad, row] += 1.0   # branch current leaves the pad node
-            G[row, pad] += 1.0
-            G[row, row] -= PACKAGE_R
-            C[row, row] -= PACKAGE_L
-        for node, peak in self.peak_currents.items():
-            C[node, node] += DECAP_PER_AMP * peak + 1e-12
-        for node in self.analog_nodes:
-            C[node, node] += 50e-12  # analog blocks carry local decap
-        for node, cap in self.extra_decap.items():
-            C[node, node] += cap
-        b = np.zeros(size)
-        total = 0.0
-        for node, peak in self.peak_currents.items():
-            b[node] -= peak
-            total += peak
-        if total == 0.0:
+        if self.topology.peak_total == 0.0:
             return 0.0
-        engine = MomentEngine(G, C, b)
+        engine = MomentEngine(self._droop_conductance(),
+                              self._droop_capacitance(),
+                              self.topology.droop_rhs)
         for q in range(order, 0, -1):
             try:
                 model = pade_model(engine.moments(victim, 2 * q), q)
@@ -220,8 +364,7 @@ class PowerGrid:
             # grid): fall back to the conservative analytic bound
             # L·di/dt through the package plus resistive drop.
             return self._droop_bound(victim)
-        t = np.linspace(0.0, 100e-9, 600)
-        response = model.step_response(t)
+        response = model.step_response(DROOP_TIMES)
         return float(np.max(np.abs(response)))
 
     def _droop_bound(self, victim: int) -> float:
@@ -239,16 +382,6 @@ class PowerGrid:
             self.load_currents else 0.0
         return min(l_eff * di_dt, sag) + resistive
 
-    def _grid_only_conductance(self) -> np.ndarray:
-        n = self.n_nodes
-        rows: list[int] = []
-        cols: list[int] = []
-        vals: list[float] = []
-        self._segment_triplets(rows, cols, vals)
-        G = np.zeros((n, n))
-        np.add.at(G, (rows, cols), vals)
-        return G
-
     def _default_victim(self) -> int:
         if self.analog_nodes:
             return self.analog_nodes[0]
@@ -259,12 +392,9 @@ class PowerGrid:
 # grid construction from a floorplan
 # ----------------------------------------------------------------------
 
-def build_grid(floorplan: FloorplanResult,
-               widths: dict[str, int] | None = None,
-               default_width_nm: int = 10_000,
-               vdd: float = 3.3,
-               decaps: dict[str, float] | None = None) -> PowerGrid:
-    """Ring + strap grid over a floorplan's blocks.
+def _rail_topology(floorplan: FloorplanResult, vdd: float = 3.3,
+                   ) -> tuple[GridTopology, dict[str, int]]:
+    """Ring + strap grid over a floorplan's blocks, and each block's node.
 
     Ring nodes: the four corners plus the projection of each block center
     onto the nearest chip edge; one strap per block.
@@ -272,11 +402,9 @@ def build_grid(floorplan: FloorplanResult,
     W, Hh = floorplan.width, floorplan.height
     corners = [(0, 0), (W, 0), (W, Hh), (0, Hh)]
     node_names: list[str] = [f"pad{i}" for i in range(4)]
-    node_xy: list[tuple[int, int]] = list(corners)
 
-    def add_node(name: str, xy: tuple[int, int]) -> int:
+    def add_node(name: str) -> int:
         node_names.append(name)
-        node_xy.append(xy)
         return len(node_names) - 1
 
     blocks = list(floorplan.placed.values())
@@ -294,8 +422,8 @@ def build_grid(floorplan: FloorplanResult,
             for k in edge_pts}
         edge = min(dists, key=dists.get)
         ring_xy = edge_pts[edge]
-        ring_node = add_node(f"ring_{placed.block.name}", ring_xy)
-        block_node = add_node(f"blk_{placed.block.name}", (cx, cy))
+        ring_node = add_node(f"ring_{placed.block.name}")
+        block_node = add_node(f"blk_{placed.block.name}")
         taps[placed.block.name] = (block_node, ring_node,
                                    abs(cx - ring_xy[0])
                                    + abs(cy - ring_xy[1]))
@@ -304,41 +432,55 @@ def build_grid(floorplan: FloorplanResult,
         ring_points.append((_perimeter_pos(corner, W, Hh), i, 0))
     ring_points.sort()
 
-    widths = widths or {}
-    segments: list[GridSegment] = []
+    names: list[str] = []
+    ends: list[tuple[int, int, int]] = []   # (node_a, node_b, length)
     perimeter = 2 * (W + Hh)
     for k in range(len(ring_points)):
         pos_a, node_a, _ = ring_points[k]
         pos_b, node_b, _ = ring_points[(k + 1) % len(ring_points)]
         length = (pos_b - pos_a) % perimeter
-        if length == 0:
-            length = 1
-        name = f"ring_{k}"
-        segments.append(GridSegment(
-            name, node_a, node_b, length,
-            widths.get(name, default_width_nm)))
+        names.append(f"ring_{k}")
+        ends.append((node_a, node_b, length or 1))
     for block_name, (block_node, ring_node, length) in taps.items():
-        name = f"strap_{block_name}"
-        segments.append(GridSegment(
-            name, block_node, ring_node, max(length, 1_000),
-            widths.get(name, default_width_nm)))
+        names.append(f"strap_{block_name}")
+        ends.append((block_node, ring_node, max(length, 1_000)))
 
     load = {}
     peak = {}
     analog_nodes = []
-    extra_decap = {}
-    decaps = decaps or {}
+    block_nodes = {}
     for placed in blocks:
-        node = taps[placed.block.name][0]
+        node = block_nodes[placed.block.name] = taps[placed.block.name][0]
         load[node] = placed.block.supply_avg
         if placed.block.kind is BlockKind.DIGITAL:
             peak[node] = placed.block.supply_peak
         else:
             analog_nodes.append(node)
-        if placed.block.name in decaps:
-            extra_decap[node] = decaps[placed.block.name]
-    return PowerGrid(segments, node_names, [0, 1, 2, 3], load, peak,
-                     analog_nodes, vdd, extra_decap)
+    node_a, node_b, lengths = zip(*ends)
+    topology = GridTopology(names, node_a, node_b, lengths, node_names,
+                            [0, 1, 2, 3], load, peak, analog_nodes, vdd)
+    return topology, block_nodes
+
+
+def _block_decaps(block_nodes: dict[str, int],
+                  decaps: dict[str, float]) -> dict[int, float]:
+    return {node: decaps[name] for name, node in block_nodes.items()
+            if name in decaps}
+
+
+def build_grid(floorplan: FloorplanResult,
+               widths: dict[str, int] | None = None,
+               default_width_nm: int = 10_000,
+               vdd: float = 3.3,
+               decaps: dict[str, float] | None = None) -> PowerGrid:
+    """Ring + strap grid over a floorplan's blocks, sized by segment name
+    (``default_width_nm`` for the rest), with per-block decaps."""
+    topology, block_nodes = _rail_topology(floorplan, vdd)
+    widths = widths or {}
+    return PowerGrid.sized(
+        topology, [widths.get(name, default_width_nm)
+                   for name in topology.names],
+        _block_decaps(block_nodes, decaps or {}))
 
 
 def _perimeter_pos(xy: tuple[int, int], w: int, h: int) -> int:
@@ -363,6 +505,18 @@ class RailSpec:
     min_width_nm: int = 2_000
     max_width_nm: int = 200_000
 
+    def __post_init__(self) -> None:
+        check_width_bounds(self.min_width_nm, self.max_width_nm)
+
+
+def check_width_bounds(min_width_nm: int, max_width_nm: int) -> None:
+    """Reject a width range a sizer cannot search: ``ValueError`` unless
+    ``0 < min_width_nm <= max_width_nm``."""
+    if not 0 < min_width_nm <= max_width_nm:
+        raise ValueError(
+            f"need 0 < min_width_nm <= max_width_nm, got "
+            f"min_width_nm={min_width_nm}, max_width_nm={max_width_nm}")
+
 
 @dataclass
 class RailResult:
@@ -380,15 +534,29 @@ DECAP_DENSITY = 1e-3      # F/m² of decap area
 DECAP_MIN, DECAP_MAX = 10e-12, 20e-9
 
 
+def _grid_metrics(grid: PowerGrid) -> tuple[float, float, int]:
+    ir = grid.worst_ir_drop()
+    droop = grid.transient_droop()
+    em = len(grid.em_violations())
+    return ir, droop, em
+
+
 def evaluate_grid(floorplan: FloorplanResult, widths: dict[str, int],
                   spec: RailSpec,
                   decaps: dict[str, float] | None = None,
                   ) -> tuple[PowerGrid, float, float, int]:
     grid = build_grid(floorplan, widths, decaps=decaps)
-    ir = grid.worst_ir_drop()
-    droop = grid.transient_droop()
-    em = len(grid.em_violations())
-    return grid, ir, droop, em
+    return (grid, *_grid_metrics(grid))
+
+
+def _rail_result(grid: PowerGrid, widths: dict[str, int], spec: RailSpec,
+                 evaluations: int) -> RailResult:
+    ir, droop = grid.worst_ir_drop(), grid.transient_droop()
+    em_names = grid.em_violations()
+    feasible = (ir <= spec.max_ir_drop and droop <= spec.max_droop
+                and not em_names)
+    return RailResult(grid, widths, grid.metal_area(), ir, droop,
+                      em_names, feasible, evaluations)
 
 
 def synthesize_rail(floorplan: FloorplanResult,
@@ -399,8 +567,8 @@ def synthesize_rail(floorplan: FloorplanResult,
     transient constraints with minimum metal+decap area — the Fig. 3
     redesign loop."""
     spec = spec or RailSpec()
-    template = build_grid(floorplan)
-    seg_names = [seg.name for seg in template.segments]
+    topology, block_nodes = _rail_topology(floorplan)
+    seg_names = topology.names
     block_names = sorted(floorplan.placed)
     decap_names = [f"decap_{b}" for b in block_names]
     names = seg_names + decap_names
@@ -414,16 +582,22 @@ def synthesize_rail(floorplan: FloorplanResult,
     evaluations = [0]
     area_norm = len(seg_names) * floorplan.width * spec.min_width_nm
 
-    def split(point: dict[str, float]):
-        widths = {k: int(point[k]) for k in seg_names}
-        decaps = {b: point[f"decap_{b}"] for b in block_names}
-        return widths, decaps
+    def sized(widths: list[int], decaps: dict[str, float]) -> PowerGrid:
+        return PowerGrid.sized(topology, widths,
+                               _block_decaps(block_nodes, decaps))
+
+    def evaluate(widths: dict[str, int], decaps: dict[str, float]):
+        grid = sized([widths[name] for name in seg_names], decaps)
+        return (grid, *_grid_metrics(grid))
+
+    def decaps_of(point: dict[str, float]) -> dict[str, float]:
+        return {b: point[f"decap_{b}"] for b in block_names}
 
     def cost(point: dict[str, float]) -> float:
         evaluations[0] += 1
-        widths, decaps = split(point)
-        grid, ir, droop, em = evaluate_grid(floorplan, widths, spec,
-                                            decaps)
+        decaps = decaps_of(point)
+        grid = sized([int(point[k]) for k in seg_names], decaps)
+        ir, droop, em = _grid_metrics(grid)
         decap_area = sum(decaps.values()) / DECAP_DENSITY * 1e18  # nm²
         area_term = (grid.metal_area() + decap_area) / area_norm
         penalty = 0.0
@@ -444,15 +618,16 @@ def synthesize_rail(floorplan: FloorplanResult,
         np.full(len(decap_names), DECAP_MAX * 0.5)])
     result = anneal_continuous(cost, space, schedule=schedule, seed=seed,
                                x0=x0)
-    widths, decaps = split(space.to_dict(result.best_state))
+    best = space.to_dict(result.best_state)
+    widths = {k: int(best[k]) for k in seg_names}
+    decaps = decaps_of(best)
     # Greedy repair: widen the segments that still violate (EM first,
     # then the highest-current segments for IR), grow decaps for droop.
     # Monotone and bounded, so it terminates; max sizing is feasible.
     stall = 0
     prev_droop = float("inf")
     for _ in range(60):
-        grid, ir, droop, em = evaluate_grid(floorplan, widths, spec,
-                                            decaps)
+        grid, ir, droop, em = evaluate(widths, decaps)
         evaluations[0] += 1
         em_names = grid.em_violations()
         if (ir <= spec.max_ir_drop and droop <= spec.max_droop
@@ -491,9 +666,8 @@ def synthesize_rail(floorplan: FloorplanResult,
                                        spec.max_width_nm)
             up = {b: min(c * 2.0, DECAP_MAX) for b, c in decaps.items()}
             down = {b: max(c / 2.0, DECAP_MIN) for b, c in decaps.items()}
-            _, _, droop_up, _ = evaluate_grid(floorplan, widths, spec, up)
-            _, _, droop_dn, _ = evaluate_grid(floorplan, widths, spec,
-                                              down)
+            _, _, droop_up, _ = evaluate(widths, up)
+            _, _, droop_dn, _ = evaluate(widths, down)
             evaluations[0] += 2
             if droop_up <= min(droop_dn, droop):
                 decaps = up
@@ -503,7 +677,7 @@ def synthesize_rail(floorplan: FloorplanResult,
     # — the metal-minimization half of the RAIL loop.
     def is_feasible(w, d) -> bool:
         evaluations[0] += 1
-        g, ir_, droop_, _ = evaluate_grid(floorplan, w, spec, d)
+        g, ir_, droop_, _ = evaluate(w, d)
         return (ir_ <= spec.max_ir_drop and droop_ <= spec.max_droop
                 and not g.em_violations())
 
@@ -526,12 +700,8 @@ def synthesize_rail(floorplan: FloorplanResult,
                     changed = True
             if not changed:
                 break
-    grid, ir, droop, em = evaluate_grid(floorplan, widths, spec, decaps)
-    em_names = grid.em_violations()
-    feasible = (ir <= spec.max_ir_drop and droop <= spec.max_droop
-                and not em_names)
-    return RailResult(grid, widths, grid.metal_area(), ir, droop,
-                      em_names, feasible, evaluations[0])
+    return _rail_result(sized([widths[name] for name in seg_names], decaps),
+                        widths, spec, evaluations[0])
 
 
 def uniform_grid_result(floorplan: FloorplanResult, width_nm: int,
@@ -539,11 +709,6 @@ def uniform_grid_result(floorplan: FloorplanResult, width_nm: int,
     """Reference point: a naive uniform-width grid (the 'before' of
     Fig. 3's redesign)."""
     spec = spec or RailSpec()
-    template = build_grid(floorplan)
-    widths = {seg.name: width_nm for seg in template.segments}
-    grid, ir, droop, em = evaluate_grid(floorplan, widths, spec)
-    em_names = grid.em_violations()
-    feasible = (ir <= spec.max_ir_drop and droop <= spec.max_droop
-                and not em_names)
-    return RailResult(grid, widths, grid.metal_area(), ir, droop,
-                      em_names, feasible, 1)
+    grid = build_grid(floorplan, default_width_nm=width_nm)
+    widths = {name: width_nm for name in grid.topology.names}
+    return _rail_result(grid, widths, spec, 1)

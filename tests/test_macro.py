@@ -417,6 +417,15 @@ class TestGridWidthError:
         seg = GridSegment("ok", 0, 1, 1_000, 500)
         assert seg.resistance == pytest.approx(0.04 * 1_000 / 500)
 
+    @pytest.mark.parametrize("bounds", [(30_000, 20_000), (0, 20_000),
+                                        (-1, 5)])
+    def test_signoff_spec_rejects_unsearchable_width_bounds(self, bounds):
+        # Unchecked, inverted bounds crash uniform_mesh with an
+        # AttributeError and optimize_mesh inside ContinuousSpace.
+        lo, hi = bounds
+        with pytest.raises(ValueError, match="min_width_nm.*max_width_nm"):
+            SignoffSpec(min_width_nm=lo, max_width_nm=hi)
+
 
 class TestNearestFreeTileSpiral:
     def _router(self, nx=4, ny=4):

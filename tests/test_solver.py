@@ -108,7 +108,7 @@ class TestDifferential:
 
     def test_power_grid_all_paths_agree(self):
         grid = _mesh_grid(8, 8)
-        G = grid._conductance_matrix()
+        G = grid.conductance_matrix()
         b = np.zeros(grid.n_nodes)
         for pad in grid.pad_nodes:
             b[pad] += grid.vdd / 0.05
@@ -134,7 +134,7 @@ class TestDifferential:
     def test_complex_rhs_on_real_sparse_factorization(self):
         # SuperLU only solves in the factorization dtype; the layer must
         # split a complex RHS over a real factorization transparently.
-        G = _mesh_grid(6, 6)._conductance_matrix()
+        G = _mesh_grid(6, 6).conductance_matrix()
         rng = np.random.default_rng(3)
         b = rng.normal(size=G.shape[0]) + 1j * rng.normal(size=G.shape[0])
         op = factorize(G, prefer_sparse=True)
@@ -153,7 +153,7 @@ class TestDifferential:
     def test_auto_selection_by_size_and_density(self):
         small = np.eye(4)
         assert factorize(small).mode == "dense"
-        big_sparse = _mesh_grid(12, 12)._conductance_matrix()
+        big_sparse = _mesh_grid(12, 12).conductance_matrix()
         assert big_sparse.shape[0] >= SPARSE_SIZE_THRESHOLD
         assert factorize(big_sparse).mode == "sparse"
         n = SPARSE_SIZE_THRESHOLD
