@@ -15,18 +15,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.analysis.dcop import OperatingPoint, dc_operating_point
-from repro.analysis.mna import (
-    MnaSystem,
-    SingularCircuitError,
-    mos_capacitances,
-)
+from repro.analysis.mna import MnaSystem
 from repro.analysis.solver import (
     SPARSE_SIZE_THRESHOLD,
     FactorizationCache,
     FactorizedOperator,
     solve_stack,
 )
-from repro.circuits.devices import THERMAL_VOLTAGE, Diode, Mosfet
 from repro.circuits.netlist import Circuit
 
 
@@ -95,67 +90,8 @@ def small_signal_system(circuit: Circuit,
     G, C, _, b_ac = system.linear_stamps()
     if op is None:
         op = dc_operating_point(circuit)
-    x = op.x
-    for dev in system.nonlinear:
-        if isinstance(dev, Mosfet):
-            _stamp_mos_small_signal(system, dev, op, G, C)
-        elif isinstance(dev, Diode):
-            _stamp_diode_small_signal(system, dev, x, G, C)
+    system.stamp_small_signal(op.mos, op.x, G, C)
     return SmallSignalSystem(system, G, C, b_ac, op)
-
-
-def _stamp_mos_small_signal(system: MnaSystem, dev: Mosfet,
-                            op: OperatingPoint, G: np.ndarray,
-                            C: np.ndarray) -> None:
-    mop = op.mos[dev.name]
-    d, g, s, b = (system.node(n) for n in dev.nodes)
-    if mop.vds < 0:  # device conducting in reverse: swap roles
-        d, s = s, d
-    add = system._add
-    gm, gds, gmb = mop.gm, mop.gds, mop.gmb
-    add(G, d, g, gm)
-    add(G, d, d, gds)
-    add(G, d, b, gmb)
-    add(G, d, s, -(gm + gds + gmb))
-    add(G, s, g, -gm)
-    add(G, s, d, -gds)
-    add(G, s, b, -gmb)
-    add(G, s, s, gm + gds + gmb)
-    # Meyer capacitances between gate and each terminal.
-    cgs, cgd, cgb = mos_capacitances(dev, mop.region)
-    _stamp_cap(system, C, g, s, cgs)
-    _stamp_cap(system, C, g, d, cgd)
-    _stamp_cap(system, C, g, b, cgb)
-    # Junction capacitances drain/source to bulk (area ~ W * 2.5 L_diff).
-    diff_area = dev.w * dev.m * 2.5 * dev.l
-    cj = dev.model.cj * diff_area + dev.model.cjsw * 2 * (dev.w * dev.m)
-    _stamp_cap(system, C, d, b, cj)
-    _stamp_cap(system, C, s, b, cj)
-
-
-def _stamp_diode_small_signal(system: MnaSystem, dev: Diode, x: np.ndarray,
-                              G: np.ndarray, C: np.ndarray) -> None:
-    a, c = system.node(dev.nodes[0]), system.node(dev.nodes[1])
-    va = x[a] if a >= 0 else 0.0
-    vc = x[c] if c >= 0 else 0.0
-    n_vt = dev.model.emission * THERMAL_VOLTAGE
-    i_s = dev.model.i_sat * dev.area
-    gd = i_s * math.exp(min((va - vc) / n_vt, 40.0)) / n_vt
-    system._add(G, a, a, gd)
-    system._add(G, c, c, gd)
-    system._add(G, a, c, -gd)
-    system._add(G, c, a, -gd)
-    _stamp_cap(system, C, a, c, dev.model.cj0 * dev.area)
-
-
-def _stamp_cap(system: MnaSystem, C: np.ndarray, a: int, b: int,
-               value: float) -> None:
-    if value == 0.0:
-        return
-    system._add(C, a, a, value)
-    system._add(C, b, b, value)
-    system._add(C, a, b, -value)
-    system._add(C, b, a, -value)
 
 
 @dataclass

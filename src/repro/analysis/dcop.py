@@ -60,20 +60,18 @@ class OperatingPoint:
         """Magnitude of the current delivered by a supply source."""
         return abs(self.branch_currents[source_name])
 
-    def power(self, supply_names: tuple[str, ...] = ("vdd_src",),
-              circuit: Circuit | None = None) -> float:
-        """Total power drawn from the named supplies (requires the circuit
-        to look up supply voltages when provided; otherwise assumes the
-        branch voltage equals the source dc value is unavailable and uses
-        the stored node voltages)."""
+    def power(self, supply_names: tuple[str, ...], circuit: Circuit) -> float:
+        """Total power drawn from the named supplies, in watts.
+
+        Each supply contributes ``|dc| · |i|``: the dc value of the
+        source device of that name in ``circuit`` times the branch
+        current of this solution.  A name without a branch current
+        contributes nothing.
+        """
         total = 0.0
         for name in supply_names:
             i = abs(self.branch_currents.get(name, 0.0))
-            if circuit is not None:
-                dev = circuit.device(name)
-                v = abs(getattr(dev, "dc", 0.0))
-            else:
-                v = 0.0
+            v = abs(getattr(circuit.device(name), "dc", 0.0))
             total += v * i
         return total
 
@@ -137,14 +135,21 @@ def _newton(system: MnaSystem, G_lin: np.ndarray, b: np.ndarray,
             max_iter: int = MAX_NR_ITERATIONS):
     """Damped NR iteration.  Returns (x, iterations, converged).
 
-    Routes every solve through :mod:`repro.analysis.solver`.  For a
-    purely linear circuit the Jacobian never changes, so the LU
+    Routes every solve through :mod:`repro.analysis.solver`.  The
+    Jacobian's linear part (``G_lin`` plus the ``gmin_extra`` node
+    shunt) and the convergence tolerances are built once per call.  For
+    a purely linear circuit the Jacobian never changes, so the LU
     factorization is computed once and reused by every iteration;
-    nonlinear circuits re-stamp per iteration as Newton requires and
-    solve each step once with :func:`~repro.analysis.solver.solve_stack`.
+    nonlinear circuits re-stamp a copy of the linear part per iteration
+    as Newton requires and solve each step once with
+    :func:`~repro.analysis.solver.solve_stack`.
     """
     x = x0.copy()
     n_nodes = len(system.node_names)
+    base = G_lin.copy()
+    if gmin_extra:
+        base[:n_nodes, :n_nodes] += np.eye(n_nodes) * gmin_extra
+    tol = _tolerances(system)
     linear_only = not system.nonlinear
     base_op = None
     for it in range(1, max_iter + 1):
@@ -152,17 +157,12 @@ def _newton(system: MnaSystem, G_lin: np.ndarray, b: np.ndarray,
         try:
             if linear_only:
                 if base_op is None:
-                    A = G_lin.copy()
-                    if gmin_extra:
-                        A[:n_nodes, :n_nodes] += np.eye(n_nodes) * gmin_extra
-                    base_op = _solver.factorize(A)
+                    base_op = _solver.factorize(base)
                 x_new = base_op.solve(rhs)
             else:
-                A = G_lin.copy()
-                if gmin_extra:
-                    A[:n_nodes, :n_nodes] += np.eye(n_nodes) * gmin_extra
+                A = base.copy()
                 system.stamp_nonlinear(x, A, rhs)
-                x_new = _solver.solve_stack(A[None], rhs)[0]
+                x_new = _solver.solve_stack(A[None], rhs[None])[0]
         except SingularCircuitError:
             return x, it, False
         delta = x_new - x
@@ -172,17 +172,22 @@ def _newton(system: MnaSystem, G_lin: np.ndarray, b: np.ndarray,
         if max_dv > MAX_STEP_VOLTS:
             delta = delta * (MAX_STEP_VOLTS / max_dv)
         x = x + delta
-        if _converged(delta, x, n_nodes):
+        if _converged(delta, x, tol):
             return x, it, True
     return x, max_iter, False
 
 
-def _converged(delta: np.ndarray, x: np.ndarray, n_nodes: int) -> bool:
-    dv = np.abs(delta[:n_nodes])
-    di = np.abs(delta[n_nodes:])
-    v_ok = np.all(dv <= VOLTAGE_ABS_TOL + 1e-6 * np.abs(x[:n_nodes]))
-    i_ok = np.all(di <= CURRENT_ABS_TOL + 1e-6 * np.abs(x[n_nodes:]))
-    return bool(v_ok and i_ok)
+def _tolerances(system: MnaSystem) -> np.ndarray:
+    """Absolute Newton tolerances: volts on node unknowns, amperes on
+    branch unknowns."""
+    tol = np.full(system.size, CURRENT_ABS_TOL)
+    tol[:len(system.node_names)] = VOLTAGE_ABS_TOL
+    return tol
+
+
+def _converged(delta: np.ndarray, x: np.ndarray, tol: np.ndarray) -> bool:
+    """Every update within its absolute tolerance plus 1e-6 relative."""
+    return bool((np.abs(delta) <= tol + 1e-6 * np.abs(x)).all())
 
 
 def _gmin_stepping(system: MnaSystem, G_lin: np.ndarray, b: np.ndarray):

@@ -16,6 +16,7 @@ import numpy as np
 from repro.analysis.dcop import (
     ConvergenceError,
     _converged,
+    _tolerances,
     dc_operating_point,
 )
 from repro.analysis.mna import MnaSystem, SingularCircuitError
@@ -199,6 +200,7 @@ def _step(system: MnaSystem, G: np.ndarray, C: np.ndarray, sources,
         mat_c = 2.0 * C / h
     x = x0.copy()
     n_nodes = len(system.node_names)
+    tol = _tolerances(system)
     base_op = None
     if factors is not None:
         try:
@@ -206,15 +208,17 @@ def _step(system: MnaSystem, G: np.ndarray, C: np.ndarray, sources,
                 (h, backward_euler), lambda: G + mat_c)
         except SingularCircuitError:
             return False, x
+    else:
+        base = G + mat_c
     for _ in range(60):
         rhs = const.copy()
         try:
             if base_op is not None:
                 x_new = base_op.solve(rhs)
             else:
-                A = G + mat_c
+                A = base.copy()
                 system.stamp_nonlinear(x, A, rhs)
-                x_new = solve_stack(A[None], rhs)[0]
+                x_new = solve_stack(A[None], rhs[None])[0]
         except SingularCircuitError:
             return False, x
         delta = x_new - x
@@ -223,7 +227,7 @@ def _step(system: MnaSystem, G: np.ndarray, C: np.ndarray, sources,
         if max_dv > 1.0:
             delta = delta * (1.0 / max_dv)
         x = x + delta
-        if _converged(delta, x, n_nodes):
+        if _converged(delta, x, tol):
             return True, x
     _newton_nonconv(t, h)
     return False, x

@@ -39,14 +39,16 @@ class MomentEngine:
         self._states: list[np.ndarray] = []
 
     def state(self, k: int) -> np.ndarray:
-        """k-th moment state vector x_k (cached)."""
+        """k-th moment state vector x_k (cached).
+
+        A non-finite moment cannot be returned: the solve raises
+        :class:`SingularCircuitError` on any non-finite solution.
+        """
         while len(self._states) <= k:
             if not self._states:
                 nxt = self._op.solve(self.b)
             else:
                 nxt = self._op.solve(-(self.C @ self._states[-1]))
-            if not np.all(np.isfinite(nxt)):
-                raise SingularCircuitError("moment recursion diverged")
             self._states.append(nxt)
         return self._states[k]
 

@@ -29,6 +29,12 @@ class SpecKind(enum.Enum):
     MAXIMIZE = "maximize"  # objective: larger is better
 
 
+#: The kinds that constrain a performance; the other kinds are objectives.
+#: A tuple, not a frozenset: membership tests identity first, while set
+#: lookup would call the Python-level ``Enum.__hash__``.
+_CONSTRAINT_KINDS = (SpecKind.MIN, SpecKind.MAX, SpecKind.EQUAL)
+
+
 @dataclass(frozen=True)
 class Spec:
     """One performance specification.
@@ -83,14 +89,14 @@ class Spec:
 
     # -- evaluation ----------------------------------------------------
     def is_constraint(self) -> bool:
-        return self.kind in (SpecKind.MIN, SpecKind.MAX, SpecKind.EQUAL)
+        return self.kind in _CONSTRAINT_KINDS
 
     def is_objective(self) -> bool:
-        return not self.is_constraint()
+        return self.kind not in _CONSTRAINT_KINDS
 
     def satisfied(self, measured: float) -> bool:
         """True when a constraint is met (objectives are always 'met')."""
-        if not self.is_constraint():
+        if self.kind not in _CONSTRAINT_KINDS:
             return True
         if measured is None or math.isnan(measured):
             return False
@@ -108,7 +114,7 @@ class Spec:
         The normalization divides by ``|value|`` so that a spec violated by
         10% contributes 0.1 regardless of its physical magnitude.
         """
-        if not self.is_constraint():
+        if self.kind not in _CONSTRAINT_KINDS:
             return 0.0
         if measured is None or math.isnan(measured):
             return 10.0  # failed evaluation: large fixed penalty
@@ -122,7 +128,7 @@ class Spec:
 
     def objective_value(self, measured: float) -> float:
         """Normalized objective contribution (smaller is better)."""
-        if not self.is_objective():
+        if self.kind in _CONSTRAINT_KINDS:
             return 0.0
         if measured is None or math.isnan(measured):
             return 10.0
@@ -153,6 +159,11 @@ class SpecSet:
         return len(self.specs)
 
     def add(self, spec: Spec) -> "SpecSet":
+        """Append ``spec``; a second spec of the same name and kind is a
+        ``ValueError``, as at construction."""
+        if any(s.name == spec.name and s.kind is spec.kind
+               for s in self.specs):
+            raise ValueError("duplicate spec entries in SpecSet")
         self.specs.append(spec)
         return self
 
@@ -184,13 +195,24 @@ class SpecSet:
         )
 
     def cost(self, performance: dict[str, float]) -> float:
-        """ASTRX-style scalarized cost: objectives + weighted hinge penalties."""
-        obj = sum(
-            s.weight * s.objective_value(performance.get(s.name, float("nan")))
-            for s in self.objectives
-        )
-        pen = self.total_violation(performance)
-        return obj + self.constraint_weight * pen
+        """ASTRX-style scalarized cost: objectives + weighted hinge penalties.
+
+        One pass over ``specs``; each sum adds its terms in spec order,
+        as :attr:`objectives` and :meth:`total_violation` list them.  A
+        missing metric reads as NaN.
+        """
+        nan = float("nan")
+        objective_terms = []
+        penalty_terms = []
+        for s in self.specs:
+            measured = performance.get(s.name, nan)
+            if s.kind in _CONSTRAINT_KINDS:
+                penalty_terms.append(s.weight * s.violation(measured))
+            else:
+                objective_terms.append(
+                    s.weight * s.objective_value(measured))
+        return (sum(objective_terms)
+                + self.constraint_weight * sum(penalty_terms))
 
     def report(self, performance: dict[str, float]) -> "SpecReport":
         rows = []

@@ -18,6 +18,9 @@ from typing import Callable, Generic, TypeVar
 
 import numpy as np
 
+from repro.engine.faults import is_failure
+from repro.engine.trace import current_tracer
+
 State = TypeVar("State")
 
 
@@ -123,7 +126,6 @@ class Annealer(Generic[State]):
         return list(self.executor.map_evaluate(self.cost, states))
 
     def _map(self, states: list[State]) -> list[float]:
-        from repro.engine.faults import is_failure
         if self.surrogate is not None:
             raw = self.surrogate.screen(self._raw_map, states)
         else:
@@ -163,7 +165,6 @@ class Annealer(Generic[State]):
     # ------------------------------------------------------------------
     def run(self, initial: State,
             temperature: float | None = None) -> AnnealResult[State]:
-        from repro.engine.trace import current_tracer
         tracer = current_tracer()
         sched = self.schedule
         self.failures = 0
@@ -235,7 +236,9 @@ class ContinuousSpace:
     """Box-bounded continuous search space with log-scale option.
 
     Log scaling matters for device sizes and currents, which span decades;
-    it is what all the sizing tools effectively search in.
+    it is what all the sizing tools effectively search in.  The bounds
+    are fixed at construction, which computes the move generator's
+    constants once.
     """
 
     names: list[str]
@@ -250,6 +253,14 @@ class ContinuousSpace:
             raise ValueError("lower bounds must be below upper bounds")
         if self.log_scale and np.any(self.lower <= 0):
             raise ValueError("log-scale space requires positive bounds")
+        # Coordinates moved per step, and the search box (in log space
+        # when log-scaled) with its span.
+        self._n_move = max(1, int(round(self.dim * 0.3)))
+        if self.log_scale:
+            self._lo, self._hi = np.log(self.lower), np.log(self.upper)
+        else:
+            self._lo, self._hi = self.lower, self.upper
+        self._span = self._hi - self._lo
 
     @property
     def dim(self) -> int:
@@ -260,29 +271,23 @@ class ContinuousSpace:
 
     def random_point(self, rng: np.random.Generator) -> np.ndarray:
         u = rng.random(self.dim)
-        if self.log_scale:
-            lo, hi = np.log(self.lower), np.log(self.upper)
-            return np.exp(lo + u * (hi - lo))
-        return self.lower + u * (self.upper - self.lower)
+        point = self._lo + u * self._span
+        return np.exp(point) if self.log_scale else point
 
     def perturb(self, x: np.ndarray, rng: np.random.Generator,
                 fraction: float) -> np.ndarray:
         """Move a random subset of coordinates, range scaled by fraction."""
-        x = x.copy()
-        n_move = max(1, int(round(self.dim * 0.3)))
+        n_move = self._n_move
         idx = rng.choice(self.dim, size=n_move, replace=False)
         scale = 0.02 + 0.5 * max(fraction, 0.0)
+        step = rng.normal(0.0, 1.0, size=n_move) * scale * self._span[idx]
         if self.log_scale:
-            lo, hi = np.log(self.lower), np.log(self.upper)
-            span = hi - lo
             xl = np.log(x)
-            xl[idx] += rng.normal(0.0, 1.0, size=n_move) * scale * span[idx]
-            x = np.exp(np.clip(xl, lo, hi))
-        else:
-            span = self.upper - self.lower
-            x[idx] += rng.normal(0.0, 1.0, size=n_move) * scale * span[idx]
-            x = self.clip(x)
-        return x
+            xl[idx] += step
+            return np.exp(np.clip(xl, self._lo, self._hi))
+        x = x.copy()
+        x[idx] += step
+        return self.clip(x)
 
     def to_dict(self, x: np.ndarray) -> dict[str, float]:
         return dict(zip(self.names, x))

@@ -197,3 +197,14 @@ class TestNonlinearDc:
         op = dc_operating_point(ota)
         p = op.power(("vdd_src",), ota)
         assert 1e-6 < p < 1e-2
+
+    def test_power_needs_the_circuit(self):
+        """Without the circuit there are no supply voltages: the call is
+        an error, not a silent 0 W."""
+        op = dc_operating_point(voltage_divider(1e3, 1e3, 2.0))
+        assert op.power(("vin",), voltage_divider(1e3, 1e3, 2.0)) == \
+            pytest.approx(2.0e-3, rel=1e-6)
+        with pytest.raises(TypeError):
+            op.power(("vin",))
+        with pytest.raises(TypeError):
+            op.power()

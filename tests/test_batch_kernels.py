@@ -141,6 +141,20 @@ class TestMnaGuards:
         with pytest.raises(ValueError, match="unknown operating region"):
             mos_capacitances(dev, "weak-inversion")
 
+    def test_stamp_plan_rejects_array_sizes_and_foreign_devices(self):
+        """The plan compiles scalar device constants once per system, so
+        array-valued W/L/m fail at construction, and an operating-point
+        record is only given for the system's own MOSFETs."""
+        from repro.circuits.devices import Mosfet
+        circuit = _cs_amp(1.0)
+        circuit.add(Mosfet("mx", ("out", "g", "0", "0"),
+                           w=np.array([5e-6])))
+        with pytest.raises(TypeError, match="scalar W/L"):
+            MnaSystem(circuit)
+        system, other = MnaSystem(_cs_amp(1.0)), MnaSystem(_cs_amp(1.2))
+        with pytest.raises(KeyError, match="not a MOSFET of this system"):
+            system.mos_op(other.nonlinear[0], np.zeros(system.size))
+
     def test_solve_stack_normalizes_failures(self):
         singular = np.zeros((1, 2, 2))
         with pytest.raises(SingularCircuitError, match="singular"):

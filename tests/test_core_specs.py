@@ -99,6 +99,14 @@ class TestSpecSet:
         with pytest.raises(ValueError):
             SpecSet([Spec.at_least("g", 1.0), Spec.at_least("g", 2.0)])
 
+    def test_add_rejects_duplicate_like_construction(self):
+        ss = SpecSet([Spec.at_least("g", 1.0)])
+        with pytest.raises(ValueError, match="duplicate spec entries"):
+            ss.add(Spec.at_least("g", 2.0))
+        assert len(ss) == 1
+        ss.add(Spec.at_most("g", 5.0))  # same metric, other kind: allowed
+        assert [s.kind for s in ss] == [SpecKind.MIN, SpecKind.MAX]
+
     def test_same_metric_min_and_max_allowed(self):
         ss = SpecSet([Spec.at_least("v", 1.0), Spec.at_most("v", 2.0)])
         assert ss.all_satisfied({"v": 1.5})
