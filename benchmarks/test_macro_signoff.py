@@ -18,7 +18,6 @@ import numpy as np
 from conftest import report
 
 from repro.macro import MacroSpec, MeshSpec, SignoffSpec, route_mesh, tile_macro
-from repro.macro.signoff import _attach_loads
 from repro.msystem.powergrid import PACKAGE_R
 
 FLOOR = 5.0
@@ -31,8 +30,7 @@ def _build_grid():
     n_v = len(macro.blockages.free_v_tracks)
     mesh = route_mesh(macro, MeshSpec(n_h, n_v, 8_000, 8_000))
     spec = SignoffSpec()
-    loads, peaks, analog = _attach_loads(macro, mesh, spec)
-    return mesh.build_power_grid(loads, peaks, analog)
+    return mesh.power_grid(macro, spec.cell_avg_a, spec.peak_ratio)
 
 
 def _sparse_metrics(grid):

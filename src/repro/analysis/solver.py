@@ -157,7 +157,8 @@ def factorize(A: Any, prefer_sparse: bool | None = None) -> FactorizedOperator:
     count("solver.factorizations")
     if use_sparse:
         count("solver.factor_sparse")
-        M = sp.csc_matrix(A)
+        # A CSC input goes to SuperLU as is; anything else converts.
+        M = A if is_sparse_input and A.format == "csc" else sp.csc_matrix(A)
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", spla.MatrixRankWarning)

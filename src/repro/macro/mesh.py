@@ -36,7 +36,12 @@ from repro.layout.geometry import Cell, Rect
 from repro.layout.gridsearch import grid_search, manhattan, move
 from repro.layout.technology import LAYER_METAL1, LAYER_METAL2, LAYER_VIA1
 from repro.macro.tiling import TiledMacro
-from repro.msystem.powergrid import SHEET_RES, GridSegment, PowerGrid
+from repro.msystem.powergrid import (
+    SHEET_RES,
+    GridSegment,
+    GridTopology,
+    PowerGrid,
+)
 
 
 class MeshRoutingError(RuntimeError):
@@ -103,33 +108,117 @@ class RailRoute:
 
 @dataclass
 class MeshResult:
-    """A routed mesh: rails, vias, and the PowerGrid-compatible graph."""
+    """A routed mesh: rails, vias, and the PowerGrid-compatible graph.
+
+    Everything but the two rail widths is fixed by the routed track sets
+    (``tracks``): the rails, the nodes and the segment graph.  A mesh
+    with other widths on the same tracks is :meth:`resized` from this
+    one instead of routed again, and shares all of that with it.  The
+    segment objects and the layout cell are built on first access.
+    """
 
     macro: TiledMacro
     spec: MeshSpec
+    #: the routed (horizontal, vertical) track indices
+    tracks: tuple[tuple[int, ...], tuple[int, ...]]
     rails: list[RailRoute]
     node_names: list[str]
     #: node index -> (layer, i, j)
     node_pos: list[tuple[str, int, int]]
-    rail_segments: list[GridSegment]
-    via_segments: list[GridSegment]
     pad_nodes: list[int]
-    cell: Cell
+    #: every segment's (name, node_a, node_b, length_nm): the horizontal
+    #: rail steps, the vertical rail steps, then the vias
+    segment_table: tuple[list[str], list[int], list[int], list[int]]
+    #: how many of the table's segments are horizontal / all rail steps
+    h_segments: int
+    rail_count: int
     blockage_violations: int = 0
     _index: dict[tuple[str, int, int], int] = field(default_factory=dict,
                                                     repr=False)
+    #: grid topologies by load model, shared by the resized copies
+    _grids: dict = field(default_factory=dict, repr=False, compare=False)
+    _segments: list[GridSegment] | None = field(default=None, repr=False,
+                                                compare=False)
+    _cell: Cell | None = field(default=None, repr=False, compare=False)
+
+    def resized(self, spec: MeshSpec) -> "MeshResult":
+        """This mesh with ``spec``'s rail widths; ``spec`` must route to
+        the same tracks."""
+        if rail_tracks(self.macro, spec) != self.tracks:
+            raise ValueError(f"{spec} does not route to the tracks "
+                             f"{self.tracks} of this mesh")
+        return MeshResult(self.macro, spec, self.tracks, self.rails,
+                          self.node_names, self.node_pos, self.pad_nodes,
+                          self.segment_table, self.h_segments,
+                          self.rail_count, self.blockage_violations,
+                          self._index, self._grids)
 
     @property
-    def vias(self) -> int:
-        return len(self.via_segments)
+    def widths(self) -> np.ndarray:
+        """Every segment's width (nm), in ``segment_table`` order."""
+        n = len(self.segment_table[0])
+        return np.repeat(
+            np.array([self.spec.h_width_nm, self.spec.v_width_nm,
+                      VIA_WIDTH_NM], dtype=np.int64),
+            [self.h_segments, self.rail_count - self.h_segments,
+             n - self.rail_count])
 
     @property
     def segments(self) -> list[GridSegment]:
-        return self.rail_segments + self.via_segments
+        if self._segments is None:
+            self._segments = [
+                GridSegment(name, a, b, length, width)
+                for name, a, b, length, width in zip(
+                    *self.segment_table, self.widths.tolist())]
+        return list(self._segments)
+
+    @property
+    def rail_segments(self) -> list[GridSegment]:
+        return self.segments[:self.rail_count]
+
+    @property
+    def via_segments(self) -> list[GridSegment]:
+        return self.segments[self.rail_count:]
+
+    @property
+    def vias(self) -> int:
+        return len(self.segment_table[0]) - self.rail_count
+
+    @property
+    def cell(self) -> Cell:
+        """The mesh's layout: one metal shape per rail step (its rail's
+        width), then one via shape per stitched crossing."""
+        if self._cell is None:
+            macro = self.macro
+            cell = Cell(f"{macro.spec.name}_mesh")
+            for rail in self.rails:
+                if rail.orientation == "h":
+                    layer, width = LAYER_METAL1, self.spec.h_width_nm
+                else:
+                    layer, width = LAYER_METAL2, self.spec.v_width_nm
+                half = width // 2
+                for (i1, j1), (i2, j2) in zip(rail.path, rail.path[1:]):
+                    x1, y1 = macro.track_xy(i1, j1)
+                    x2, y2 = macro.track_xy(i2, j2)
+                    cell.add_shape(layer,
+                                   Rect(min(x1, x2) - half,
+                                        min(y1, y2) - half,
+                                        max(x1, x2) + half,
+                                        max(y1, y2) + half), "vdd")
+            q = VIA_WIDTH_NM // 2
+            for node in self.segment_table[1][self.rail_count:]:
+                x, y = macro.track_xy(*self.node_pos[node][1:])
+                cell.add_shape(LAYER_VIA1, Rect(x - q, y - q, x + q, y + q),
+                               "vdd")
+            self._cell = cell
+        return self._cell
 
     def metal_area(self) -> int:
         """Rail metal only — via equivalents are electrical stand-ins."""
-        return sum(s.metal_area for s in self.rail_segments)
+        lengths = self.segment_table[3]
+        return (sum(lengths[:self.h_segments]) * self.spec.h_width_nm
+                + sum(lengths[self.h_segments:self.rail_count])
+                * self.spec.v_width_nm)
 
     def node_at(self, layer: str, i: int, j: int) -> int | None:
         return self._index.get((layer, i, j))
@@ -147,8 +236,9 @@ class MeshResult:
                 a = parent[a]
             return a
 
-        for seg in self.segments:
-            ra, rb = find(seg.node_a), find(seg.node_b)
+        _, node_a, node_b, _ = self.segment_table
+        for a, b in zip(node_a, node_b):
+            ra, rb = find(a), find(b)
             if ra != rb:
                 parent[ra] = rb
         root = find(self.pad_nodes[0])
@@ -167,17 +257,47 @@ class MeshResult:
             raise MeshRoutingError(f"mesh has no nodes on layer {layer!r}")
         return best[1]
 
-    def build_power_grid(self, load_currents: dict[int, float],
-                         peak_currents: dict[int, float],
-                         analog_nodes: list[int],
-                         vdd: float = 3.3,
-                         extra_decap: dict[int, float] | None = None,
-                         ) -> PowerGrid:
-        """The mesh as a power grid under the given loads; builds the
-        grid's :class:`~repro.msystem.powergrid.GridTopology` once."""
-        return PowerGrid(self.segments, self.node_names, self.pad_nodes,
-                         load_currents, peak_currents, analog_nodes, vdd,
-                         extra_decap)
+    def power_grid(self, macro: TiledMacro, cell_avg_a: float,
+                   peak_ratio: float) -> PowerGrid:
+        """The mesh as a power grid under ``macro``'s unit-cell taps.
+
+        Each tap crossing draws ``units x cell_avg_a`` on average, and
+        ``peak_ratio`` times that at its switching peak, at the nearest
+        horizontal-plane node; the analog victim (``analog_nodes[0]``)
+        is the loaded node farthest from the pads.  The loads and the
+        :class:`~repro.msystem.powergrid.GridTopology` depend on the
+        routed tracks, not on the widths, so they are built once per
+        load model and shared by every resized copy of the mesh.
+        """
+        key = (id(macro), cell_avg_a, peak_ratio)
+        entry = self._grids.get(key)
+        if entry is None:
+            loads, peaks, victim = self._tap_loads(macro, cell_avg_a,
+                                                   peak_ratio)
+            topology = GridTopology(*self.segment_table, self.node_names,
+                                    self.pad_nodes, loads, peaks, [victim])
+            # Holding the macro keeps its id from naming another one.
+            entry = self._grids[key] = (macro, topology)
+        return PowerGrid.sized(entry[1], self.widths)
+
+    def _tap_loads(self, macro: TiledMacro, cell_avg_a: float,
+                   peak_ratio: float) -> tuple[dict, dict, int]:
+        loads: dict[int, float] = {}
+        peaks: dict[int, float] = {}
+        for (i, j), units in sorted(macro.taps.items()):
+            node = self.node_at("h", i, j)
+            if node is None:
+                node = self.nearest_node("h", i, j)
+            loads[node] = loads.get(node, 0.0) + units * cell_avg_a
+            peaks[node] = peaks.get(node, 0.0) \
+                + units * cell_avg_a * peak_ratio
+        pad_pos = [self.node_pos[p][1:] for p in self.pad_nodes]
+
+        def pad_distance(node: int) -> int:
+            _, i, j = self.node_pos[node]
+            return min(abs(i - pi) + abs(j - pj) for pi, pj in pad_pos)
+
+        return loads, peaks, max(sorted(loads), key=pad_distance)
 
 
 # ----------------------------------------------------------------------
@@ -209,6 +329,15 @@ def assign_rail_tracks(free_tracks: list[int], requested: int) -> list[int]:
             chosen.add(candidates[0])
         k += 1
     return sorted(chosen)
+
+
+def rail_tracks(macro: TiledMacro, spec: MeshSpec,
+                ) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The (horizontal, vertical) tracks ``spec`` routes on: everything
+    about a mesh but its widths follows from these."""
+    blockages = macro.blockages
+    return (tuple(assign_rail_tracks(blockages.free_h_tracks, spec.h_rails)),
+            tuple(assign_rail_tracks(blockages.free_v_tracks, spec.v_rails)))
 
 
 def _rail_endpoints(blockages, orientation: str,
@@ -301,8 +430,7 @@ def route_mesh(macro: TiledMacro, spec: MeshSpec) -> MeshResult:
     assigned or expanded.
     """
     blockages = macro.blockages
-    h_tracks = assign_rail_tracks(blockages.free_h_tracks, spec.h_rails)
-    v_tracks = assign_rail_tracks(blockages.free_v_tracks, spec.v_rails)
+    h_tracks, v_tracks = rail_tracks(macro, spec)
 
     node_names: list[str] = []
     node_pos: list[tuple[str, int, int]] = []
@@ -319,20 +447,20 @@ def route_mesh(macro: TiledMacro, spec: MeshSpec) -> MeshResult:
         return idx
 
     rails: list[RailRoute] = []
-    rail_segments: list[GridSegment] = []
+    names: list[str] = []
+    node_a: list[int] = []
+    node_b: list[int] = []
+    lengths: list[int] = []
     seen_pairs: set[tuple[int, int]] = set()
     violations = 0
-    cell = Cell(f"{macro.spec.name}_mesh")
 
-    def add_segment(name: str, a: int, b: int, length: int,
-                    width: int) -> None:
-        pair = (min(a, b), max(a, b))
-        if pair in seen_pairs:
-            return  # overlapping rails share the same physical metal
-        seen_pairs.add(pair)
-        rail_segments.append(GridSegment(name, a, b, max(length, 1), width))
+    def add_segment(name: str, a: int, b: int, length: int) -> None:
+        names.append(name)
+        node_a.append(a)
+        node_b.append(b)
+        lengths.append(length)
 
-    def route_one(orientation: str, track: int, width: int) -> None:
+    def route_one(orientation: str, track: int) -> None:
         nonlocal violations
         layer = "h" if orientation == "h" else "v"
         start, goal = _rail_endpoints(blockages, orientation, track)
@@ -340,41 +468,36 @@ def route_mesh(macro: TiledMacro, spec: MeshSpec) -> MeshResult:
         detoured = any((p[1] != track if orientation == "h"
                         else p[0] != track) for p in path)
         violations += sum(1 for p in path if not blockages.is_free(*p))
-        gds_layer = LAYER_METAL1 if orientation == "h" else LAYER_METAL2
         for k in range(len(path) - 1):
             (i1, j1), (i2, j2) = path[k], path[k + 1]
             a = node(layer, i1, j1)
             b = node(layer, i2, j2)
+            pair = (min(a, b), max(a, b))
+            if pair in seen_pairs:
+                continue  # overlapping rails share the same physical metal
+            seen_pairs.add(pair)
             x1, y1 = macro.track_xy(i1, j1)
             x2, y2 = macro.track_xy(i2, j2)
-            length = abs(x2 - x1) + abs(y2 - y1)
-            add_segment(f"{orientation}{track}_{k}", a, b, length, width)
-            half = width // 2
-            cell.add_shape(gds_layer,
-                           Rect(min(x1, x2) - half, min(y1, y2) - half,
-                                max(x1, x2) + half, max(y1, y2) + half),
-                           "vdd")
+            add_segment(f"{orientation}{track}_{k}", a, b,
+                        max(abs(x2 - x1) + abs(y2 - y1), 1))
         rails.append(RailRoute(f"{orientation}{track}", orientation, track,
                                path, detoured))
 
     for track in h_tracks:
-        route_one("h", track, spec.h_width_nm)
+        route_one("h", track)
+    h_segments = len(names)
     for track in v_tracks:
-        route_one("v", track, spec.v_width_nm)
+        route_one("v", track)
+    rail_count = len(names)
 
     # Via stitching: every crossing where both planes own a node.
-    via_segments: list[GridSegment] = []
     for (layer, i, j), idx in sorted(index.items()):
         if layer != "h":
             continue
         other = index.get(("v", i, j))
         if other is None:
             continue
-        via_segments.append(GridSegment(
-            f"via_{i}_{j}", idx, other, VIA_EQUIV_LENGTH_NM, VIA_WIDTH_NM))
-        x, y = macro.track_xy(i, j)
-        q = VIA_WIDTH_NM // 2
-        cell.add_shape(LAYER_VIA1, Rect(x - q, y - q, x + q, y + q), "vdd")
+        add_segment(f"via_{i}_{j}", idx, other, VIA_EQUIV_LENGTH_NM)
 
     corners = [(v_tracks[0], h_tracks[0]),
                (v_tracks[-1], h_tracks[0]),
@@ -390,11 +513,12 @@ def route_mesh(macro: TiledMacro, spec: MeshSpec) -> MeshResult:
 
     count("macrogen.rails_routed", len(rails))
     count("macrogen.rail_detours", sum(1 for r in rails if r.detoured))
-    count("macrogen.vias", len(via_segments))
+    count("macrogen.vias", len(names) - rail_count)
     if violations:
         count("macrogen.blockage_violations", violations)
-    result = MeshResult(macro, spec, rails, node_names, node_pos,
-                        rail_segments, via_segments, pad_nodes, cell,
+    result = MeshResult(macro, spec, (h_tracks, v_tracks), rails, node_names,
+                        node_pos, pad_nodes, (names, node_a, node_b, lengths),
+                        h_segments, rail_count,
                         blockage_violations=violations, _index=index)
     if not result.is_fully_stitched():
         raise MeshRoutingError(

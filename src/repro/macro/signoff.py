@@ -23,12 +23,19 @@ reference point — every strap corridor railed at one conservative width.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from repro.engine.trace import count, current_tracer, span_if
-from repro.macro.mesh import MeshResult, MeshRoutingError, MeshSpec, route_mesh
+from repro.macro.mesh import (
+    MeshResult,
+    MeshRoutingError,
+    MeshSpec,
+    rail_tracks,
+    route_mesh,
+)
 from repro.macro.tiling import MacroSpec, TiledMacro, tile_macro
 from repro.msystem.powergrid import PowerGrid, check_width_bounds
 from repro.opt.anneal import AnnealSchedule, ContinuousSpace, anneal_continuous
@@ -84,45 +91,19 @@ class MacroSignoff:
         }
 
 
-def _attach_loads(macro: TiledMacro, mesh: MeshResult,
-                  spec: SignoffSpec) -> tuple[dict, dict, list[int]]:
-    """Map unit-cell supply taps onto mesh nodes.
-
-    Each tap crossing draws ``units x cell_avg`` at the nearest
-    horizontal-plane node; the analog victim is the loaded node farthest
-    from the pads (worst-case droop observer).
-    """
-    loads: dict[int, float] = {}
-    peaks: dict[int, float] = {}
-    for (i, j), units in sorted(macro.taps.items()):
-        node = mesh.node_at("h", i, j)
-        if node is None:
-            node = mesh.nearest_node("h", i, j)
-        loads[node] = loads.get(node, 0.0) + units * spec.cell_avg_a
-        peaks[node] = peaks.get(node, 0.0) \
-            + units * spec.cell_avg_a * spec.peak_ratio
-    pad_pos = [mesh.node_pos[p][1:] for p in mesh.pad_nodes]
-
-    def pad_distance(node: int) -> int:
-        _, i, j = mesh.node_pos[node]
-        return min(abs(i - pi) + abs(j - pj) for pi, pj in pad_pos)
-
-    victim = max(sorted(loads), key=pad_distance)
-    return loads, peaks, [victim]
-
-
 def signoff_mesh(macro: TiledMacro, mesh: MeshResult,
                  spec: SignoffSpec | None = None) -> MacroSignoff:
     """Verify one routed mesh against all three constraint families.
 
-    Counts ``macrogen.signoffs`` / ``macrogen.em_violations`` on the
-    active tracer.
+    Unit-cell supply taps load the mesh (:meth:`MeshResult.power_grid`);
+    droop is observed at the loaded node farthest from the pads.  Counts
+    ``macrogen.signoffs`` / ``macrogen.em_violations`` on the active
+    tracer.
     """
     spec = spec or SignoffSpec()
-    loads, peaks, analog = _attach_loads(macro, mesh, spec)
-    grid = mesh.build_power_grid(loads, peaks, analog)
+    grid = mesh.power_grid(macro, spec.cell_avg_a, spec.peak_ratio)
     ir = grid.worst_ir_drop()
-    droop = grid.transient_droop(analog[0])
+    droop = grid.transient_droop(grid.analog_nodes[0])
     em = grid.em_violations()
     feasible = (ir <= spec.max_ir_drop and droop <= spec.max_droop
                 and not em and mesh.blockage_violations == 0)
@@ -133,9 +114,33 @@ def signoff_mesh(macro: TiledMacro, mesh: MeshResult,
                         feasible)
 
 
-def _evaluate(macro: TiledMacro, mesh_spec: MeshSpec,
-              spec: SignoffSpec) -> MacroSignoff:
-    return signoff_mesh(macro, route_mesh(macro, mesh_spec), spec)
+def _signoffs(macro: TiledMacro,
+              spec: SignoffSpec) -> Callable[[MeshSpec], MacroSignoff]:
+    """``signoff(mesh_spec)`` for one search over ``macro``.
+
+    Only the tracks a spec routes on decide its mesh's rails, nodes,
+    loads and grid topology, and whether it routes at all; the widths
+    only size it.  So each distinct track set is routed once (its routing
+    error kept), and a spec on tracks already routed re-sizes that mesh.
+    """
+    routed: dict[tuple, MeshResult | MeshRoutingError] = {}
+
+    def signoff(mesh_spec: MeshSpec) -> MacroSignoff:
+        tracks = rail_tracks(macro, mesh_spec)
+        mesh = routed.get(tracks)
+        if mesh is None:
+            try:
+                mesh = route_mesh(macro, mesh_spec)
+            except MeshRoutingError as exc:
+                mesh = exc
+            routed[tracks] = mesh
+        elif not isinstance(mesh, MeshRoutingError):
+            mesh = mesh.resized(mesh_spec)
+        if isinstance(mesh, MeshRoutingError):
+            raise mesh
+        return signoff_mesh(macro, mesh, spec)
+
+    return signoff
 
 
 @dataclass(frozen=True)
@@ -161,12 +166,12 @@ def uniform_mesh(macro: TiledMacro, spec: SignoffSpec | None = None,
     spec = spec or SignoffSpec()
     h_all = len(macro.blockages.free_h_tracks)
     v_all = len(macro.blockages.free_v_tracks)
+    signoff = _signoffs(macro, spec)
     width = spec.min_width_nm
     attempts = 0
     last = None
     while width <= spec.max_width_nm:
-        mesh_spec = MeshSpec(h_all, v_all, width, width)
-        last = _evaluate(macro, mesh_spec, spec)
+        last = signoff(MeshSpec(h_all, v_all, width, width))
         attempts += 1
         if last.feasible:
             break
@@ -186,8 +191,8 @@ def optimize_mesh(macro: TiledMacro, spec: SignoffSpec | None = None,
     the same anneal/repair/shrink shape as the rail synthesizer.
 
     The three phases propose the same integer specs again and again;
-    each distinct spec is routed and signed off once per call, and the
-    returned ``evaluations`` counts proposals.
+    each distinct spec is signed off once per call, each distinct track
+    set routed once, and the returned ``evaluations`` counts proposals.
     """
     spec = spec or SignoffSpec()
     schedule = schedule or AnnealSchedule(moves_per_temperature=24,
@@ -205,8 +210,11 @@ def optimize_mesh(macro: TiledMacro, spec: SignoffSpec | None = None,
     evaluations = [0]
     area_norm = ((macro.width_nm + macro.height_nm)
                  * (h_max + v_max) * spec.min_width_nm)
-    # The memo keeps verdicts (or the routing error), never a mesh, grid
-    # or cell; only the last signoff run is held whole.
+    # The verdict memo keeps metrics (or the routing error), never a mesh,
+    # grid or cell, and the track-set memo keeps routed meshes without
+    # their cells or segment objects; only the last signoff run is held
+    # whole.
+    signoff = _signoffs(macro, spec)
     verdicts: dict[MeshSpec, _Verdict | MeshRoutingError] = {}
     latest: list[MacroSignoff] = []
 
@@ -215,7 +223,7 @@ def optimize_mesh(macro: TiledMacro, spec: SignoffSpec | None = None,
         verdict = verdicts.get(mesh_spec)
         if verdict is None:
             try:
-                result = _evaluate(macro, mesh_spec, spec)
+                result = signoff(mesh_spec)
             except MeshRoutingError as exc:
                 verdict = exc
             else:
@@ -304,7 +312,7 @@ def optimize_mesh(macro: TiledMacro, spec: SignoffSpec | None = None,
     # The final spec's signoff is kept whenever it was run when accepted;
     # otherwise (the memo answered for it) it is run again, and that run
     # is not an evaluation.
-    result = kept if kept is not None else _evaluate(macro, best, spec)
+    result = kept if kept is not None else signoff(best)
     result.evaluations = evaluations[0]
     return result
 

@@ -45,17 +45,32 @@ def floorplan_noise(placed: list[PlacedBlock],
     Sum over (injector, victim) pairs of injection · sensitivity ·
     kernel(separation).  Lower is better.
     """
-    injectors = [p for p in placed if p.block.noise_injection > 0]
-    victims = [p for p in placed if p.block.noise_sensitivity > 0]
+    rows = []
+    for p in placed:
+        r = p.rect()
+        rows.append((p.block.name, p.block.noise_injection,
+                     p.block.noise_sensitivity, r.x1, r.y1, r.x2, r.y2))
+    return substrate_noise(rows, decay_nm)
+
+
+def substrate_noise(rows: list[tuple], decay_nm: float = DECAY_LENGTH_NM,
+                    ) -> float:
+    """:func:`floorplan_noise` over plain rows
+    ``(name, injection, sensitivity, x1, y1, x2, y2)``.
+
+    Sums injector-major, each in the rows' order, so a floorplan gives
+    the same float however its blocks are represented.
+    """
+    injectors = [row for row in rows if row[1] > 0]
+    victims = [row for row in rows if row[2] > 0]
     total = 0.0
-    for src in injectors:
-        for dst in victims:
-            if src.block.name == dst.block.name:
+    for src, inj, _, sx1, sy1, sx2, sy2 in injectors:
+        for dst, _, sens, dx1, dy1, dx2, dy2 in victims:
+            if src == dst:
                 continue
-            d = src.rect().distance_to(dst.rect())
-            total += (src.block.noise_injection
-                      * dst.block.noise_sensitivity
-                      * coupling_kernel(d, decay_nm))
+            d = (max(dx1 - sx2, sx1 - dx2, 0)
+                 + max(dy1 - sy2, sy1 - dy2, 0))
+            total += inj * sens * coupling_kernel(d, decay_nm)
     return total
 
 

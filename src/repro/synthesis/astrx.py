@@ -119,10 +119,9 @@ class AstrxProblem:
             x[node] = candidate.voltages[k]
         return x
 
-    def kcl_residual(self, system: MnaSystem, G: np.ndarray,
-                     b: np.ndarray, x: np.ndarray) -> float:
-        """Normalized KCL residual over the free (relaxed) nodes."""
-        f = G @ x + system.nonlinear_currents(x) - b
+    def kcl_residual(self, f: np.ndarray, b: np.ndarray) -> float:
+        """Normalized KCL residual over the free (relaxed) nodes, from
+        the residual vector ``f = G x + f_nl(x) - b``."""
         res = f[self.free_nodes]
         # Normalize by a representative current so the penalty is unitless.
         scale = max(np.max(np.abs(b)) if b.size else 0.0, 1e-6)
@@ -143,17 +142,18 @@ class AstrxProblem:
             system = MnaSystem(circuit)
             G, _, b, _ = system.linear_stamps()
             x = self.assemble_x(candidate)
-            kcl = self.kcl_residual(system, G, b, x)
+            # One residual serves the KCL penalty (free nodes) and the
+            # supply current (device currents into the supply node).
+            f = G @ x + system.nonlinear_currents(x) - b
+            kcl = self.kcl_residual(f, b)
             op = self._pseudo_op(system, x)
             ss = small_signal_system(circuit, op)
             model = reduce_circuit(ss, self.output, order=3)
             gain = abs(model.dc_value())
             bw = abs(model.dominant_pole().real) / (2 * math.pi)
             gbw = gain * bw
-            # Supply current: device currents into the supply node.
-            f_full = G @ x + system.nonlinear_currents(x) - b
             supply_node = self._supply_node(circuit)
-            i_dd = abs(f_full[supply_node]) if supply_node >= 0 else 0.0
+            i_dd = abs(f[supply_node]) if supply_node >= 0 else 0.0
             performance = {
                 "gain": gain,
                 "gain_db": 20 * math.log10(max(gain, 1e-12)),

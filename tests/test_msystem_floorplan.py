@@ -166,6 +166,21 @@ class TestWrightFloorplanner:
         with pytest.raises(ValueError):
             WrightFloorplanner([_two_blocks()[0]], [])
 
+    def test_rejects_a_terminal_on_an_unknown_block(self):
+        """A net naming a block the floorplan does not have fails at
+        construction, naming the net and the block, instead of being
+        skipped by the cost and failing in global routing later."""
+        from repro.msystem.blocks import SignalNet
+        nets = [SignalNet("ok", [("dig", "a"), ("ana", "b")]),
+                SignalNet("stray", [("dig", "a"), ("dsp", "b")])]
+        with pytest.raises(ValueError, match="'stray'.*'dsp'"):
+            WrightFloorplanner(_two_blocks(), nets)
+
+    def test_demo_system_constructs(self):
+        blocks, nets = demo_mixed_signal_system()
+        fp = WrightFloorplanner(blocks, nets)
+        assert fp.nets == nets
+
     def test_moves_preserve_validity(self):
         import numpy as np
         blocks, nets = demo_mixed_signal_system()

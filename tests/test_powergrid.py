@@ -51,7 +51,6 @@ from repro.macro import (
     tile_macro,
 )
 from repro.macro import signoff
-from repro.macro.signoff import _attach_loads
 from repro.msystem import demo_mixed_signal_system
 from repro.msystem import powergrid
 from repro.msystem.floorplan import WrightFloorplanner
@@ -352,8 +351,8 @@ def mesh8():
 def mesh32():
     macro = tile_macro(MacroSpec(32, 32))
     mesh = route_mesh(macro, MeshSpec(5, 5, 4_000, 4_000))
-    loads, peaks, analog = _attach_loads(macro, mesh, SignoffSpec())
-    return mesh.build_power_grid(loads, peaks, analog)
+    spec = SignoffSpec()
+    return mesh.power_grid(macro, spec.cell_avg_a, spec.peak_ratio)
 
 
 WIDTHS = st.integers(min_value=200, max_value=200_000)

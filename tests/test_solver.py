@@ -326,3 +326,61 @@ class TestOperatorShape:
     def test_rejects_nonsquare(self):
         with pytest.raises(ValueError):
             factorize(np.ones((3, 2)))
+
+
+class TestSparseInput:
+    """A CSC matrix goes to SuperLU as it is; dense and other sparse
+    inputs are converted to CSC first.  Either way the factors and the
+    solutions are those of ``splu(csc_matrix(A))``."""
+
+    @staticmethod
+    def _inputs():
+        import scipy.sparse as sp
+        A = _mesh_grid(6, 3).conductance_matrix()   # 18 nodes, CSC
+        assert A.format == "csc"
+        return {"csc": A, "csr": sp.csr_matrix(A), "coo": sp.coo_matrix(A),
+                "dense": A.toarray()}
+
+    @pytest.mark.parametrize("kind", ["csc", "csr", "coo", "dense"])
+    def test_factors_and_solutions_match_the_rewrapped_path(self, kind):
+        import scipy.sparse as sp
+        import scipy.sparse.linalg as spla
+        A = self._inputs()[kind]
+        op = factorize(A, prefer_sparse=True)
+        ref = spla.splu(sp.csc_matrix(A))
+        got = op._factors
+        for name in ("L", "U"):
+            g, r = getattr(got, name), getattr(ref, name)
+            for part in ("data", "indices", "indptr"):
+                assert getattr(g, part).tobytes() == \
+                    getattr(r, part).tobytes()
+        assert got.perm_r.tobytes() == ref.perm_r.tobytes()
+        assert got.perm_c.tobytes() == ref.perm_c.tobytes()
+        rhs = np.random.default_rng(0).standard_normal((A.shape[0], 3))
+        for b in rhs.T:
+            assert op.solve(b).tobytes() == ref.solve(b).tobytes()
+            assert op.solve_transpose(b).tobytes() == \
+                ref.solve(b, trans="T").tobytes()
+
+    @pytest.mark.parametrize("kind", ["csc", "csr", "coo", "dense"])
+    def test_only_csc_skips_the_conversion(self, kind, monkeypatch):
+        import scipy.sparse.linalg as spla
+        A = self._inputs()[kind]
+        before = A.copy()
+        seen = []
+        real = spla.splu
+
+        def splu(M, *args, **kwargs):
+            seen.append(M)
+            return real(M, *args, **kwargs)
+
+        monkeypatch.setattr(spla, "splu", splu)
+        factorize(A, prefer_sparse=True)
+        (M,) = seen
+        assert M.format == "csc"
+        assert (M is A) == (kind == "csc")
+        # The caller's matrix is left as it was.
+        if kind == "dense":
+            assert np.array_equal(A, before)
+        else:
+            assert (A != before).nnz == 0 and A.format == before.format

@@ -145,6 +145,85 @@ class TestAstrxOblx:
         perf2, kcl2 = problem.evaluate(cand)
         assert perf1 == perf2 and kcl1 == kcl2
 
+    def test_one_residual_per_evaluation_is_bitwise(self):
+        """``evaluate`` builds ``G x + f_nl(x) - b`` once for the KCL
+        penalty and the supply current; over the Claim C7 candidates it
+        returns the bits the two-residual evaluation returned."""
+        import struct
+
+        import numpy as np
+        from repro.synthesis.astrx import _Candidate
+        problem = AstrxProblem(_ota_builder, _sim_space(), SpecSet([
+            Spec.at_least("gain_db", 40.0), Spec.at_least("gbw", 5e6),
+            Spec.minimize("power", good=1e-4)]))
+        rng = np.random.default_rng(1)
+        candidates = [_Candidate(problem.cont.random_point(rng),
+                                 np.full(len(problem.free_nodes), 1.65))
+                      for _ in range(40)]
+        # Relaxed voltages away from mid-rail too.
+        candidates += [_Candidate(problem.cont.random_point(rng),
+                                  rng.uniform(0.0, 3.3,
+                                              len(problem.free_nodes)))
+                       for _ in range(10)]
+
+        def bits(result):
+            performance, kcl = result
+            return ([(k, struct.pack("<d", v))
+                     for k, v in performance.items()],
+                    struct.pack("<d", kcl))
+
+        for cand in candidates:
+            assert bits(problem.evaluate(cand)) == \
+                bits(_two_residual_evaluate(problem, cand))
+
+
+def _two_residual_evaluate(self, candidate):
+    """``AstrxProblem.evaluate`` and its ``kcl_residual`` as they were
+    before the residual was shared, copied verbatim."""
+    import math
+
+    import numpy as np
+    from repro.analysis.ac import small_signal_system
+    from repro.analysis.mna import MnaSystem, SingularCircuitError
+    from repro.awe import PadeError, reduce_circuit
+
+    def kcl_residual(system, G, b, x):
+        """Normalized KCL residual over the free (relaxed) nodes."""
+        f = G @ x + system.nonlinear_currents(x) - b
+        res = f[self.free_nodes]
+        # Normalize by a representative current so the penalty is unitless.
+        scale = max(np.max(np.abs(b)) if b.size else 0.0, 1e-6)
+        return float(np.linalg.norm(res) / scale)
+
+    self.evaluations += 1
+    sizes = self.cont.to_dict(candidate.sizes)
+    try:
+        circuit = self._testbench(sizes)
+        system = MnaSystem(circuit)
+        G, _, b, _ = system.linear_stamps()
+        x = self.assemble_x(candidate)
+        kcl = kcl_residual(system, G, b, x)
+        op = self._pseudo_op(system, x)
+        ss = small_signal_system(circuit, op)
+        model = reduce_circuit(ss, self.output, order=3)
+        gain = abs(model.dc_value())
+        bw = abs(model.dominant_pole().real) / (2 * math.pi)
+        gbw = gain * bw
+        # Supply current: device currents into the supply node.
+        f_full = G @ x + system.nonlinear_currents(x) - b
+        supply_node = self._supply_node(circuit)
+        i_dd = abs(f_full[supply_node]) if supply_node >= 0 else 0.0
+        performance = {
+            "gain": gain,
+            "gain_db": 20 * math.log10(max(gain, 1e-12)),
+            "gbw": gbw,
+            "bandwidth": bw,
+            "power": self.vdd_value * i_dd,
+        }
+        return performance, kcl
+    except (SingularCircuitError, PadeError, ValueError, KeyError):
+        return {}, 100.0
+
 
 class TestTopologySelection:
     def test_rule_based_excludes_low_gain_topology(self):
