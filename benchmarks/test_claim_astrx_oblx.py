@@ -29,6 +29,9 @@ from repro.synthesis import (
 )
 from repro.synthesis.astrx import _Candidate
 
+#: Timed passes of each evaluation kind; the fastest of each is compared.
+PASSES = 5
+
 SPECS = SpecSet([
     Spec.at_least("gain_db", 40.0),
     Spec.at_least("gbw", 5e6),
@@ -51,6 +54,12 @@ def _builder(sizes):
                                 if k in keys})
 
 
+def _timed(fn) -> float:
+    t0 = time.perf_counter()
+    fn()
+    return time.perf_counter() - t0
+
+
 def test_c7_astrx_oblx(benchmark):
     problem = AstrxProblem(_builder, _space(), SPECS)
     rng = np.random.default_rng(1)
@@ -60,19 +69,28 @@ def test_c7_astrx_oblx(benchmark):
         for _ in range(40)
     ]
 
-    # Compiled AWE + dc-free evaluation cost.
-    t0 = time.perf_counter()
-    for cand in candidates:
-        problem.evaluate(cand)
-    t_compiled = (time.perf_counter() - t0) / len(candidates)
-
-    # Full-simulation evaluation cost on the same points.
+    # Per-evaluation cost of the compiled (AWE + dc-free) evaluation and
+    # of a full simulation (Newton DC + AC sweep) on the same points:
+    # five alternating passes of each, compared at the fastest pass of
+    # each side, so that one host stall cannot decide the gate.
     evaluator = SimulationEvaluator(builder=_builder)
     space = _space()
-    t0 = time.perf_counter()
-    for cand in candidates:
-        evaluator(space.complete(problem.cont.to_dict(cand.sizes)))
-    t_full = (time.perf_counter() - t0) / len(candidates)
+
+    def compiled_pass():
+        for cand in candidates:
+            problem.evaluate(cand)
+
+    def full_pass():
+        for cand in candidates:
+            evaluator.simulate(space.complete(
+                problem.cont.to_dict(cand.sizes)))
+
+    compiled_s, full_s = [], []
+    for _ in range(PASSES):
+        compiled_s.append(_timed(compiled_pass))
+        full_s.append(_timed(full_pass))
+    t_compiled = min(compiled_s) / len(candidates)
+    t_full = min(full_s) / len(candidates)
     speedup = t_full / t_compiled
 
     # The OBLX run: relaxation must converge and verification must pass.
@@ -82,9 +100,9 @@ def test_c7_astrx_oblx(benchmark):
     result = benchmark.pedantic(opt.run, rounds=1, iterations=1)
 
     report("Claim C7: ASTRX/OBLX efficiency", [
-        ("compiled (AWE + dc-free) eval", "cheap",
+        ("compiled (AWE + dc-free) eval, fastest pass", "cheap",
          f"{t_compiled * 1e3:.2f} ms"),
-        ("full simulator eval (NR + AC)", "expensive",
+        ("full simulator eval (NR + AC), fastest pass", "expensive",
          f"{t_full * 1e3:.2f} ms"),
         ("evaluation speedup", ">2x", f"{speedup:.1f}x"),
         ("final KCL residual (relaxed dc)", "-> 0",

@@ -18,7 +18,7 @@ import time
 import numpy as np
 from conftest import report
 
-from repro.analysis import noise_analysis, small_signal_system
+from repro.analysis import ac_analysis, noise_analysis, small_signal_system
 from repro.analysis.noise import _noise_injections
 from repro.analysis.solver import factorize
 from repro.circuits.library import five_transistor_ota, rc_ladder
@@ -564,14 +564,13 @@ def _per_frequency_ac_sweep(ss, freqs):
 
 def test_stacked_sweep_speedup():
     """K=32 same-topology 33-point AC sweeps: each sweep as one stacked
-    solve (``api.run`` with an ``AcSpec``) vs one dense LU per frequency.
+    solve (``ac_analysis`` on a prebuilt ``ss``) vs one dense LU per
+    frequency.
 
     Both paths start from the same prebuilt small-signal systems, so the
     timed windows hold only the sweeps.  The floor is deliberately below
     the locally measured ratio to stay robust on loaded CI machines.
     """
-    from repro.analysis import api
-    from repro.analysis.api import AcSpec
     from repro.engine.trace import Tracer
 
     K = 32
@@ -581,7 +580,7 @@ def test_stacked_sweep_speedup():
     systems = [small_signal_system(c) for c in circuits]
 
     # Warm both paths once (import and first-call costs).
-    api.run(circuits[0], AcSpec(freqs=freqs, ss=systems[0]))
+    ac_analysis(circuits[0], freqs, ss=systems[0])
     _per_frequency_ac_sweep(systems[0], freqs)
 
     t0 = time.perf_counter()
@@ -589,7 +588,7 @@ def test_stacked_sweep_speedup():
     reference_s = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    stacked = [api.run(c, AcSpec(freqs=freqs, ss=ss))
+    stacked = [ac_analysis(c, freqs, ss=ss)
                for c, ss in zip(circuits, systems)]
     stacked_s = time.perf_counter() - t0
 
@@ -603,8 +602,8 @@ def test_stacked_sweep_speedup():
     for name, sweep in (
             ("per-frequency", lambda: _per_frequency_ac_sweep(
                 systems[0], freqs)),
-            ("stacked", lambda: api.run(
-                circuits[0], AcSpec(freqs=freqs, ss=systems[0])))):
+            ("stacked", lambda: ac_analysis(
+                circuits[0], freqs, ss=systems[0]))):
         tracer = Tracer()
         with tracer.span("sweep"):
             sweep()

@@ -62,23 +62,9 @@ from repro.analysis.solver import (
     solve_stack,
 )
 from repro.analysis.transient import TransientResult, transient
-from repro.analysis import api
-from repro.analysis.api import (
-    AcSpec,
-    AnalysisSpec,
-    DcSpec,
-    NoiseSpec,
-    TranSpec,
-)
 
 __all__ = [
     "AcResult",
-    "AcSpec",
-    "AnalysisSpec",
-    "DcSpec",
-    "NoiseSpec",
-    "TranSpec",
-    "api",
     "StepResponse",
     "MismatchSigma",
     "OffsetStatistics",

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.analysis.dcop import OperatingPoint, dc_operating_point
-from repro.analysis.mna import MnaSystem
+from repro.analysis.mna import GMIN_DEFAULT, MnaSystem
 from repro.analysis.solver import (
     SPARSE_SIZE_THRESHOLD,
     FactorizationCache,
@@ -23,6 +23,7 @@ from repro.analysis.solver import (
     solve_stack,
 )
 from repro.circuits.netlist import Circuit
+from repro.engine.trace import count
 
 
 @dataclass
@@ -85,11 +86,21 @@ class SmallSignalSystem:
 
 def small_signal_system(circuit: Circuit,
                         op: OperatingPoint | None = None) -> SmallSignalSystem:
-    """Build the linearized (G, C, b_ac) system at an operating point."""
-    system = MnaSystem(circuit)
-    G, C, _, b_ac = system.linear_stamps()
+    """Build the linearized (G, C, b_ac) system at an operating point.
+
+    Without ``op`` the DC operating point is solved first.  The system
+    ``op`` was solved on is reused when it was built for this very
+    ``circuit`` object at the default gmin; otherwise (a DC solved at
+    another gmin, a circuit with subcircuits, which is flattened anew
+    for every system, or a hand-built ``op``) a fresh system is built.
+    """
     if op is None:
         op = dc_operating_point(circuit)
+    system = op.system
+    if system is None or system.circuit is not circuit \
+            or system.gmin != GMIN_DEFAULT:
+        system = MnaSystem(circuit)
+    G, C, _, b_ac = system.linear_stamps()
     system.stamp_small_signal(op.mos, op.x, G, C)
     return SmallSignalSystem(system, G, C, b_ac, op)
 
@@ -119,15 +130,10 @@ def ac_analysis(circuit: Circuit, freqs: np.ndarray,
                 ss: SmallSignalSystem | None = None) -> AcResult:
     """Sweep ``(G + jωC)x = b_ac`` over ``freqs`` (Hz).
 
-    Thin wrapper over :func:`repro.analysis.api.run` with an ``AcSpec``.
+    Counts ``analysis.ac`` on the active tracer.  Without ``ss`` the
+    small-signal system is built at ``op`` (:func:`small_signal_system`).
     """
-    from repro.analysis import api
-    return api.run(circuit, api.AcSpec(freqs=freqs, op=op, ss=ss))
-
-
-def _ac_analysis_impl(circuit: Circuit, freqs: np.ndarray,
-                      op: OperatingPoint | None = None,
-                      ss: SmallSignalSystem | None = None) -> AcResult:
+    count("analysis.ac")
     freqs = np.asarray(freqs, dtype=float)
     if ss is None:
         ss = small_signal_system(circuit, op)

@@ -27,6 +27,7 @@ from repro.analysis.mna import (
 from repro.analysis import solver as _solver
 from repro.circuits.devices import CurrentSource, Mosfet, VoltageSource
 from repro.circuits.netlist import Circuit
+from repro.engine.trace import count
 
 MAX_NR_ITERATIONS = 150
 VOLTAGE_ABS_TOL = 1e-6
@@ -47,6 +48,10 @@ class OperatingPoint:
     mos: dict[str, MosOperatingPoint]
     iterations: int
     x: np.ndarray = field(repr=False, default=None)  # raw solution vector
+    # The system the point was solved on (None for a hand-built point);
+    # the small-signal analyses of the same circuit reuse it.
+    system: MnaSystem | None = field(repr=False, default=None,
+                                     compare=False)
 
     def v(self, net: str) -> float:
         if net == "0":
@@ -85,20 +90,11 @@ def dc_operating_point(circuit: Circuit,
                        gmin: float = 1e-12) -> OperatingPoint:
     """Solve the DC operating point of ``circuit``.
 
-    Raises :class:`ConvergenceError` when Newton, gmin stepping and source
+    Counts ``analysis.dc`` on the active tracer.  Raises
+    :class:`ConvergenceError` when Newton, gmin stepping and source
     stepping all fail.
-
-    Thin wrapper over :func:`repro.analysis.api.run` with a ``DcSpec`` —
-    same behaviour, but dispatches through the typed analysis API so the
-    call is traced.
     """
-    from repro.analysis import api
-    return api.run(circuit, api.DcSpec(x0=x0, gmin=gmin))
-
-
-def _dc_operating_point_impl(circuit: Circuit,
-                             x0: np.ndarray | None = None,
-                             gmin: float = 1e-12) -> OperatingPoint:
+    count("analysis.dc")
     system = MnaSystem(circuit, gmin=gmin)
     G, _, b_dc, _ = system.linear_stamps()
     x = np.zeros(system.size) if x0 is None else np.asarray(x0, dtype=float)
@@ -127,7 +123,8 @@ def _package(system: MnaSystem, x: np.ndarray, iterations: int) -> OperatingPoin
         d.name: system.mos_op(d, x)
         for d in system.nonlinear if isinstance(d, Mosfet)
     }
-    return OperatingPoint(voltages, currents, mos, iterations, x=x)
+    return OperatingPoint(voltages, currents, mos, iterations, x=x,
+                          system=system)
 
 
 def _newton(system: MnaSystem, G_lin: np.ndarray, b: np.ndarray,

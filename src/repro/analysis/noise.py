@@ -25,6 +25,7 @@ from repro.analysis.ac import SmallSignalSystem, small_signal_system
 from repro.analysis.dcop import OperatingPoint
 from repro.circuits.devices import BOLTZMANN, ROOM_TEMP_K, Mosfet, Resistor
 from repro.circuits.netlist import Circuit
+from repro.engine.trace import count
 
 FOUR_KT = 4.0 * BOLTZMANN * ROOM_TEMP_K
 
@@ -75,15 +76,10 @@ def noise_analysis(circuit: Circuit, out: str, freqs: np.ndarray,
                    ss: SmallSignalSystem | None = None) -> NoiseResult:
     """Compute the output noise spectrum at net ``out`` over ``freqs``.
 
-    Thin wrapper over :func:`repro.analysis.api.run` with a ``NoiseSpec``.
+    Counts ``analysis.noise`` on the active tracer.  Without ``ss`` the
+    small-signal system is built at ``op`` (:func:`small_signal_system`).
     """
-    from repro.analysis import api
-    return api.run(circuit, api.NoiseSpec(out=out, freqs=freqs, op=op, ss=ss))
-
-
-def _noise_analysis_impl(circuit: Circuit, out: str, freqs: np.ndarray,
-                         op: OperatingPoint | None = None,
-                         ss: SmallSignalSystem | None = None) -> NoiseResult:
+    count("analysis.noise")
     freqs = np.asarray(freqs, dtype=float)
     if ss is None:
         ss = small_signal_system(circuit, op)

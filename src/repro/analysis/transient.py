@@ -70,18 +70,10 @@ def transient(circuit: Circuit, t_stop: float, dt: float,
               max_halvings: int = 8) -> TransientResult:
     """Integrate the circuit from 0 to ``t_stop`` with base step ``dt``.
 
-    Thin wrapper over :func:`repro.analysis.api.run` with a ``TranSpec``.
+    Counts ``analysis.tran`` on the active tracer; the initial operating
+    point (``use_ic_op`` without ``x0``) counts its own ``analysis.dc``.
     """
-    from repro.analysis import api
-    return api.run(circuit, api.TranSpec(t_stop=t_stop, dt=dt, x0=x0,
-                                         use_ic_op=use_ic_op,
-                                         max_halvings=max_halvings))
-
-
-def _transient_impl(circuit: Circuit, t_stop: float, dt: float,
-                    x0: np.ndarray | None = None,
-                    use_ic_op: bool = True,
-                    max_halvings: int = 8) -> TransientResult:
+    count("analysis.tran")
     if t_stop <= 0 or dt <= 0:
         raise ValueError("t_stop and dt must be positive")
     system = MnaSystem(circuit)

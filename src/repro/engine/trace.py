@@ -32,13 +32,15 @@ compare and what :func:`manifest_digest` hashes.  A serial and a parallel
 run of the same seeded flow therefore produce byte-identical structures.
 
 The **active tracer** is module state: entering a span pushes its tracer,
-and :func:`repro.analysis.api.run` — the chokepoint every DC/AC/transient/
-noise analysis goes through — counts ``analysis.<kind>`` on whatever
-tracer is active.  The engine *suspends* the active tracer around
-executor dispatch (:func:`suspended`) so in-process (serial) evaluations
-are not counted where pool workers could not count them: serial and
-parallel runs attribute identically, with worker-side cost reported
-through the executor's shipped-back timings instead.
+and each analysis entry point (``dc_operating_point``, ``ac_analysis``,
+``noise_analysis``, ``transient``) counts ``analysis.<kind>`` once per
+call on whatever tracer is active.  The engine *suspends* the active
+tracer around executor dispatch (:func:`suspended`) so in-process
+(serial) evaluations are not counted where pool workers could not count
+them, and its ``engine.evaluations`` is the one count of dispatched
+simulations: serial and parallel runs attribute identically, with
+worker-side cost reported through the executor's shipped-back timings
+instead.
 """
 
 from __future__ import annotations
@@ -151,7 +153,8 @@ class Span:
 
         Engine-routed evaluations (``engine.evaluations``, each one
         simulator run dispatched to an executor) plus direct parent-side
-        analysis calls counted by :func:`repro.analysis.api.run`.
+        analysis calls (``analysis.<kind>``, counted once per call by
+        each analysis entry point).
         """
         return (self.counters.get("engine.evaluations", 0)
                 + sum(n for key, n in self.counters.items()

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -399,12 +398,16 @@ def _astar_rail(blockages, start: tuple[int, int], goal: tuple[int, int],
     return [divmod(k, ny) for k in path]
 
 
-@lru_cache(maxsize=64)
 def _rail_moves(blockages, orientation: str,
                 nominal: int) -> list[tuple[int, list]]:
-    """The rail search's moves, memoized because a mesh anneal routes the
-    same few tracks of one (frozen) map over and over; the search only
-    reads the lists it is given."""
+    """The rail search's moves, memoized on the map
+    (:attr:`~repro.macro.tiling.BlockageMap.rail_moves`) because a mesh
+    anneal routes the same few tracks of one map over and over; the
+    search only reads the lists it is given."""
+    memo = blockages.rail_moves
+    moves = memo.get((orientation, nominal))
+    if moves is not None:
+        return moves
     if orientation == "h":
         offtrack = np.abs(np.arange(blockages.ny) - nominal)[None, :]
         x_jog, y_jog = 0.0, _JOG_COST
@@ -413,8 +416,10 @@ def _rail_moves(blockages, orientation: str,
         x_jog, y_jog = _JOG_COST, 0.0
     enter = np.where(blockages.components > 0,
                      1.0 + _OFFTRACK_COST * offtrack, np.nan)
-    return [move(enter, (1, 0), x_jog), move(enter, (-1, 0), x_jog),
-            move(enter, (0, 1), y_jog), move(enter, (0, -1), y_jog)]
+    moves = memo[orientation, nominal] = [
+        move(enter, (1, 0), x_jog), move(enter, (-1, 0), x_jog),
+        move(enter, (0, 1), y_jog), move(enter, (0, -1), y_jog)]
+    return moves
 
 
 # ----------------------------------------------------------------------

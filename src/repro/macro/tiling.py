@@ -132,6 +132,13 @@ class BlockageMap:
                         stack.append(nxt)
         return labels
 
+    @cached_property
+    def rail_moves(self) -> dict[tuple[str, int], list]:
+        """The mesh router's rail-search moves for each ``(orientation,
+        track)`` routed on this map, filled by :mod:`repro.macro.mesh`:
+        built once per map and dropped with it."""
+        return {}
+
     @property
     def free_v_tracks(self) -> list[int]:
         return sorted(self.free_v)

@@ -26,7 +26,12 @@ from typing import Callable
 
 import numpy as np
 
-from repro.analysis.ac import ac_analysis, bode_metrics, logspace_frequencies
+from repro.analysis.ac import (
+    ac_analysis,
+    bode_metrics,
+    logspace_frequencies,
+    small_signal_system,
+)
 from repro.analysis.dcop import (
     ConvergenceError,
     OperatingPoint,
@@ -34,7 +39,6 @@ from repro.analysis.dcop import (
 )
 from repro.analysis.mna import MnaSystem, SingularCircuitError
 from repro.awe import PadeError, reduce_circuit
-from repro.analysis.ac import small_signal_system
 from repro.circuits.devices import Mosfet, VoltageSource
 from repro.circuits.netlist import Circuit
 from repro.core.specs import SpecSet
@@ -128,10 +132,12 @@ class AstrxProblem:
         return float(np.linalg.norm(res) / scale)
 
     def _pseudo_op(self, system: MnaSystem, x: np.ndarray) -> OperatingPoint:
+        """The relaxed point as an operating point on ``system``, which
+        the small-signal system then reuses."""
         voltages = {n: float(x[i]) for n, i in system.node_index.items()}
         mos = {d.name: system.mos_op(d, x) for d in system.nonlinear
                if isinstance(d, Mosfet)}
-        return OperatingPoint(voltages, {}, mos, 0, x=x)
+        return OperatingPoint(voltages, {}, mos, 0, x=x, system=system)
 
     def evaluate(self, candidate: _Candidate) -> tuple[dict[str, float], float]:
         """Performance dict + KCL residual at a candidate point."""

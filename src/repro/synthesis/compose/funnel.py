@@ -178,10 +178,10 @@ class TopologyFunnel:
         for rank in result.survivors:
             topo = rank.topology
             evaluator = SimulationEvaluator(
-                builder=StructureBuilder(topo), input_bias=INPUT_BIAS,
-                telemetry=telemetry)
+                builder=StructureBuilder(topo), input_bias=INPUT_BIAS)
             # One shared engine: one telemetry, one cache, one tracer
-            # across every survivor's sizing.
+            # across every survivor's sizing; its ``engine.evaluations``
+            # counts the simulations under either executor.
             sizer = SimulationBasedSizer(
                 evaluator, topo.space, self.specs,
                 schedule=self.schedule, seed=self.seed,

@@ -24,7 +24,7 @@ from functools import cached_property
 import numpy as np
 
 from repro.analysis.dcop import ConvergenceError, dc_operating_point
-from repro.analysis.mna import MnaSystem, SingularCircuitError
+from repro.analysis.mna import SingularCircuitError
 from repro.circuits.library import (
     VSS,
     stamp_bias_reference,
@@ -295,7 +295,7 @@ def validate_topology(topo: ComposedTopology,
     except (ConvergenceError, SingularCircuitError, ValueError,
             KeyError) as exc:
         return ValidationReport(sid, False, f"{type(exc).__name__}: {exc}")
-    system = MnaSystem(parsed)
+    system = op.system
     g_mat, _c_mat, b_dc, _b_ac = system.linear_stamps()
     residual = float(np.max(np.abs(
         g_mat @ op.x + system.nonlinear_currents(op.x) - b_dc)))

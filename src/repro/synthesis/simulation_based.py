@@ -12,8 +12,8 @@ That run-time price is exactly what :mod:`repro.engine` attacks: hand
 and every annealing batch is evaluated through the engine's executor
 (serial or process pool) with results memoized in its content-addressed
 cache, keyed on the serialized testbench netlist plus analysis
-parameters.  A :class:`SimulationEvaluator` can also carry its own cache
-for direct, non-engine use.
+parameters.  The engine is the only memo and the only counter of
+simulations: without one, every call simulates.
 """
 
 from __future__ import annotations
@@ -30,11 +30,10 @@ from repro.analysis.mna import SingularCircuitError
 from repro.analysis.noise import noise_analysis
 from repro.circuits.netlist import Circuit
 from repro.core.specs import SpecSet
-from repro.engine.cache import EvalCache, canonical_key
+from repro.engine.cache import canonical_key
 from repro.engine.config import EngineConfig
 from repro.engine.core import EvaluationEngine, flow_engine
 from repro.engine.faults import is_failure
-from repro.engine.telemetry import Telemetry
 from repro.engine.trace import span_if
 from repro.opt.anneal import AnnealSchedule, anneal_continuous
 from repro.synthesis.equation_based import DesignSpace, SizingResult
@@ -56,14 +55,11 @@ class SimulationEvaluator:
     ``inp``), finds the operating point, and extracts gain/GBW/PM, power,
     and optionally input noise.
 
-    With a ``cache`` attached, calls are memoized on
-    :meth:`cache_key` — a content hash of the built testbench netlist
-    (device sizes included) and the analysis parameters — so re-evaluating
-    an already-simulated sizing point costs one netlist serialization
-    instead of a simulation.  ``telemetry`` (optional) counts actual
-    simulator runs under ``simulator.calls``.  Neither travels through
-    pickling: worker processes always simulate raw and the parent owns the
-    cache.
+    :meth:`simulate` always simulates.  Memoizing and counting belong to
+    the :class:`~repro.engine.EvaluationEngine` it is handed to, which
+    keys each point on :meth:`cache_key` — a content hash of the built
+    testbench netlist (device sizes included) and the analysis
+    parameters.
     """
 
     builder: CircuitBuilder
@@ -75,19 +71,11 @@ class SimulationEvaluator:
     points_per_decade: int = 4
     with_noise: bool = False
     saturation_devices: tuple[str, ...] = ()
-    cache: EvalCache | None = None
-    telemetry: Telemetry | None = None
     # True routes simulator failures to the caller as exceptions, the
     # contract the engine's resilience layer expects (retry/penalty/record
     # instead of a silent {}).  False keeps the legacy empty-dict return
     # for direct, engine-less use.
     raise_failures: bool = False
-
-    def __getstate__(self) -> dict:
-        state = self.__dict__.copy()
-        state["cache"] = None
-        state["telemetry"] = None
-        return state
 
     def build_testbench(self, sizes: dict[str, float]) -> Circuit:
         circuit = self.builder(sizes)
@@ -119,14 +107,8 @@ class SimulationEvaluator:
                                  self.analysis_descriptor())
         return canonical_key(circuit, self.analysis_descriptor())
 
-    def __call__(self, sizes: dict[str, float]) -> dict[str, float]:
-        if self.cache is None:
-            return self.simulate(sizes)
-        return self.cache.get_or_compute(
-            self.cache_key(sizes), lambda: self.simulate(sizes))
-
     def simulate(self, sizes: dict[str, float]) -> dict[str, float]:
-        """Run the analyses unconditionally (the cache-miss path).
+        """Run the analyses on the testbench at ``sizes``.
 
         Simulator failures (non-convergence, singular MNA, unbuildable
         point) either re-raise (``raise_failures=True``, the engine
@@ -134,13 +116,9 @@ class SimulationEvaluator:
         :meth:`repro.core.specs.SpecSet.cost` turns a missing metric into
         a fixed penalty).
         """
-        if self.telemetry is not None:
-            self.telemetry.count("simulator.calls")
         try:
             solved = self._solve(sizes)
         except SIMULATION_ERRORS:
-            if self.telemetry is not None:
-                self.telemetry.count("simulator.failures")
             if self.raise_failures:
                 raise
             return {}
@@ -248,10 +226,10 @@ class SimulationBasedSizer:
 
     The engine comes from ``engine=`` (shared; the caller closes it) or
     from ``config=`` (built here and closed after :meth:`run`), not
-    both.  With neither, the evaluator is called directly.
+    both.  With neither, every point is simulated directly.
     """
 
-    def __init__(self, evaluator: Callable[[dict[str, float]], dict[str, float]],
+    def __init__(self, evaluator: SimulationEvaluator,
                  space: DesignSpace, specs: SpecSet,
                  schedule: AnnealSchedule | None = None, seed: int = 1,
                  engine: EvaluationEngine | None = None,
@@ -281,7 +259,8 @@ class SimulationBasedSizer:
 
     def cost(self, point: dict[str, float]) -> float:
         self.evaluations += 1
-        return self.specs.cost(self.evaluator(self.space.complete(point)))
+        return self.specs.cost(
+            self.evaluator.simulate(self.space.complete(point)))
 
     def _build_screen(self, cont):
         """Resolve the ``surrogate`` option into a live screen.
@@ -392,7 +371,7 @@ class SimulationBasedSizer:
                     warnings.append(summary)
         else:
             sizes = self.space.complete(best)
-            performance = self.evaluator(sizes)
+            performance = self.evaluator.simulate(sizes)
         if self._owns_engine:
             # Config-built engines belong to the sizer: shut the executor
             # down (report()/telemetry stay readable afterwards).

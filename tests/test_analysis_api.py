@@ -1,24 +1,16 @@
-"""The unified typed analysis API (repro.analysis.api).
+"""The analysis entry points count themselves on the active tracer.
 
-``api.run(circuit, spec)`` must round-trip all four analysis kinds with
-results equal to the legacy free functions, count ``analysis.<kind>`` on
-the active tracer, and reject non-spec payloads.  The legacy free
-functions are thin wrappers over the same dispatcher, so both entry
-points share one implementation and one cache key space.
+``dc_operating_point``, ``ac_analysis``, ``noise_analysis`` and
+``transient`` each count ``analysis.<kind>`` once per call; an analysis
+that solves its own operating point first counts that ``analysis.dc``
+as well.  Without an active tracer they count nothing and still run.
 """
 
 import numpy as np
-import pytest
 
 from repro.analysis import (
-    AcSpec,
-    DcSpec,
-    NoiseSpec,
-    TranSpec,
     ac_analysis,
-    api,
     dc_operating_point,
-    logspace_frequencies,
     noise_analysis,
     transient,
 )
@@ -52,89 +44,30 @@ def _ota_testbench():
     return ota
 
 
-class TestRoundTrip:
-    """api.run(circuit, spec) == legacy free function, all four kinds."""
-
-    def test_dc(self):
-        via_api = api.run(_ota_testbench(), DcSpec())
-        legacy = dc_operating_point(_ota_testbench())
-        assert via_api.voltages == legacy.voltages
-        assert via_api.mos.keys() == legacy.mos.keys()
-
-    def test_dc_with_options(self):
-        ckt = voltage_divider(1e3, 1e3)
-        via_api = api.run(ckt, DcSpec(gmin=1e-9))
-        legacy = dc_operating_point(ckt, gmin=1e-9)
-        assert via_api.voltages == legacy.voltages
-
-    def test_ac(self):
-        freqs = logspace_frequencies(10, 1e9, 7)
-        via_api = api.run(_rc_lowpass(), AcSpec(freqs=freqs))
-        legacy = ac_analysis(_rc_lowpass(), freqs)
-        assert np.array_equal(via_api.v("out"), legacy.v("out"))
-
-    def test_ac_with_precomputed_op(self):
-        ota = _ota_testbench()
-        op = dc_operating_point(ota)
-        freqs = logspace_frequencies(10, 1e8, 5)
-        via_api = api.run(ota, AcSpec(freqs=freqs, op=op))
-        legacy = ac_analysis(ota, freqs, op=op)
-        assert np.array_equal(via_api.v("out"), legacy.v("out"))
-
-    def test_tran(self):
-        via_api = api.run(_rc_step(), TranSpec(t_stop=2e-6, dt=2e-8))
-        legacy = transient(_rc_step(), 2e-6, 2e-8)
-        assert np.array_equal(via_api.times, legacy.times)
-        assert np.array_equal(via_api.v("out"), legacy.v("out"))
-
-    def test_noise(self):
-        freqs = np.logspace(2, 6, 5)
-        via_api = api.run(voltage_divider(1e3, 1e3, 1.0),
-                          NoiseSpec(out="out", freqs=freqs))
-        legacy = noise_analysis(voltage_divider(1e3, 1e3, 1.0), "out", freqs)
-        assert np.array_equal(via_api.output_psd, legacy.output_psd)
-
-
-class TestDispatch:
-    def test_rejects_non_spec(self):
-        with pytest.raises(TypeError, match="not an analysis spec"):
-            api.run(_rc_lowpass(), {"kind": "dc"})
-
-    def test_specs_are_frozen(self):
-        spec = DcSpec()
-        with pytest.raises(AttributeError):
-            spec.gmin = 1.0
-
-    def test_kind_tags(self):
-        assert (DcSpec.kind, AcSpec.kind, TranSpec.kind, NoiseSpec.kind) \
-            == ("dc", "ac", "tran", "noise")
-
-    def test_errors_propagate_identically(self):
-        with pytest.raises(ValueError):
-            api.run(_rc_lowpass(), TranSpec(t_stop=-1.0, dt=1e-9))
-        with pytest.raises(ValueError):
-            transient(_rc_lowpass(), -1.0, 1e-9)
+def _analysis_counts(span) -> dict[str, int]:
+    return {k: n for k, n in span.counters.items()
+            if k.startswith("analysis.")}
 
 
 class TestTracerCounting:
     def test_each_kind_counts_on_active_span(self):
         tracer = Tracer()
         with tracer.span("measure") as span:
-            api.run(_ota_testbench(), DcSpec())
-            api.run(_rc_lowpass(), AcSpec(freqs=np.array([1e3])))
-            api.run(voltage_divider(1e3, 1e3, 1.0),
-                    NoiseSpec(out="out", freqs=np.array([1e3])))
-        # Internal nested calls count too (ac without a precomputed op
-        # solves its own dc first), so dc >= 1 while noise is exactly 1.
-        assert span.counters["analysis.dc"] >= 1
-        assert span.counters["analysis.ac"] >= 1
-        assert span.counters["analysis.noise"] == 1
+            dc_operating_point(_ota_testbench())
+            ac_analysis(_rc_lowpass(), np.array([1e3]))
+            noise_analysis(voltage_divider(1e3, 1e3, 1.0), "out",
+                           np.array([1e3]))
+        # ac and noise without a precomputed op solve their own dc first,
+        # and that nested call counts too.
+        assert _analysis_counts(span) == {"analysis.dc": 3, "analysis.ac": 1,
+                                 "analysis.noise": 1}
 
     def test_legacy_wrappers_count_too(self):
+        """A direct call counts exactly once."""
         tracer = Tracer()
         with tracer.span("measure") as span:
             dc_operating_point(_ota_testbench())
-        assert span.counters["analysis.dc"] == 1
+        assert _analysis_counts(span) == {"analysis.dc": 1}
 
     def test_nested_internal_calls_are_counted(self):
         # transient's use_ic_op solves a DC operating point first: both
@@ -142,9 +75,8 @@ class TestTracerCounting:
         # deterministic, so structurally stable across runs.
         tracer = Tracer()
         with tracer.span("measure") as span:
-            api.run(_rc_step(), TranSpec(t_stop=1e-7, dt=1e-9))
-        assert span.counters["analysis.tran"] == 1
-        assert span.counters["analysis.dc"] == 1
+            transient(_rc_step(), 1e-7, 1e-9)
+        assert _analysis_counts(span) == {"analysis.tran": 1, "analysis.dc": 1}
 
     def test_no_tracer_no_error(self):
-        api.run(_rc_lowpass(), AcSpec(freqs=np.array([1e3])))
+        ac_analysis(_rc_lowpass(), np.array([1e3]))

@@ -27,8 +27,7 @@ import threading
 import numpy as np
 import pytest
 
-from repro.analysis import api
-from repro.analysis.api import AcSpec
+from repro.analysis.ac import ac_analysis
 from repro.analysis.mna import (
     MnaSystem,
     SingularCircuitError,
@@ -97,10 +96,10 @@ class TestStackedSweep:
         reversed, the phasors agree bit for bit."""
         circuit = make()
         freqs = np.logspace(1, 9, 33)
-        sweep = api.run(circuit, AcSpec(freqs=freqs))
-        backward = api.run(circuit, AcSpec(freqs=freqs[::-1]))
+        sweep = ac_analysis(circuit, freqs)
+        backward = ac_analysis(circuit, freqs[::-1])
         for k, f in enumerate(freqs):
-            alone = api.run(circuit, AcSpec(freqs=np.array([f])))
+            alone = ac_analysis(circuit, np.array([f]))
             for net, phasor in sweep.phasors.items():
                 assert phasor[k].tobytes() == alone.phasors[net][0].tobytes()
                 assert phasor[k].tobytes() == \

@@ -332,29 +332,6 @@ class TestSizingEndToEnd:
         assert first.sizes == second.sizes
         assert first.performance == second.performance
 
-    def test_evaluator_own_cache_memoizes(self):
-        telemetry = Telemetry()
-        evaluator = SimulationEvaluator(builder=five_transistor_ota,
-                                        cache=EvalCache(),
-                                        telemetry=telemetry)
-        sizes = {"w_in": 5e-5, "l_in": 2e-6, "w_load": 2e-5, "l_load": 2e-6,
-                 "w_tail": 3e-5, "l_tail": 2e-6, "i_bias": 5e-5,
-                 "c_load": 2e-12, "vdd": 3.3}
-        first = evaluator(sizes)
-        second = evaluator(dict(sizes))
-        assert first == second
-        assert telemetry.get("simulator.calls") == 1
-        assert evaluator.cache.stats.hits == 1
-
-    def test_evaluator_pickles_without_cache(self):
-        import pickle
-        evaluator = SimulationEvaluator(builder=five_transistor_ota,
-                                        cache=EvalCache(),
-                                        telemetry=Telemetry())
-        clone = pickle.loads(pickle.dumps(evaluator))
-        assert clone.cache is None and clone.telemetry is None
-        assert clone.f_stop == evaluator.f_stop
-
 
 class TestFlowTelemetry:
     def test_chip_flow_reports_stage_times(self):

@@ -41,6 +41,7 @@ from repro.macro import (
     tile_macro,
     uniform_mesh,
 )
+from repro.macro.mesh import rail_tracks
 from repro.msystem import GridSegment, GridWidthError
 from repro.serve import ShardRouter, Workload
 
@@ -182,6 +183,24 @@ class TestMeshRouting:
         for pad in small_mesh.pad_nodes:
             layer, _, _ = small_mesh.node_pos[pad]
             assert layer == "h"
+
+    def test_rail_moves_memo_is_per_map(self):
+        """Equal maps tiled apart share no move list, and a map's memo
+        holds exactly the (orientation, track) pairs routed on it."""
+        first, second = tile_macro(SMALL), tile_macro(SMALL)
+        assert first.blockages == second.blockages
+        spec = MeshSpec(3, 3, 2_000, 2_000)
+        h_tracks, v_tracks = rail_tracks(first, spec)
+        route_mesh(first, spec)
+        assert set(first.blockages.rail_moves) == \
+            {("h", t) for t in h_tracks} | {("v", t) for t in v_tracks}
+        assert not second.blockages.rail_moves
+        route_mesh(second, spec)
+        assert second.blockages.rail_moves.keys() == \
+            first.blockages.rail_moves.keys()
+        for key, moves in first.blockages.rail_moves.items():
+            assert second.blockages.rail_moves[key] is not moves
+            assert second.blockages.rail_moves[key] == moves
 
     def test_counters_emitted(self, small_macro):
         tracer = Tracer()

@@ -103,14 +103,14 @@ class TestSimulationBased:
     def test_evaluator_handles_bad_points(self):
         ev = SimulationEvaluator(builder=_ota_builder)
         # Absurd sizing must return {} rather than raise.
-        perf = ev({"w_in": 1e-6, "l_in": 2e-6, "w_load": 1e-6,
+        perf = ev.simulate({"w_in": 1e-6, "l_in": 2e-6, "w_load": 1e-6,
                    "l_load": 2e-6, "w_tail": 1e-6, "l_tail": 2e-6,
                    "i_bias": 0.4, "c_load": 2e-12, "vdd": 3.3})
         assert isinstance(perf, dict)
 
     def test_evaluator_measures_power(self):
         ev = SimulationEvaluator(builder=_ota_builder)
-        perf = ev({"w_in": 40e-6, "l_in": 2e-6, "w_load": 20e-6,
+        perf = ev.simulate({"w_in": 40e-6, "l_in": 2e-6, "w_load": 20e-6,
                    "l_load": 2e-6, "w_tail": 30e-6, "l_tail": 2e-6,
                    "i_bias": 20e-6, "c_load": 2e-12, "vdd": 3.3})
         assert 1e-6 < perf["power"] < 1e-3

@@ -18,6 +18,7 @@ from repro.engine.config import EngineConfig
 from repro.engine.core import EvaluationEngine
 from repro.engine.schema import SECTIONS, check_report
 from repro.engine.telemetry import Telemetry
+from repro.engine.trace import strip_volatile
 from repro.opt.anneal import AnnealSchedule
 from repro.opt.interval import Interval
 from repro.synthesis.compose import (
@@ -175,6 +176,27 @@ class TestFunnel:
         result = funnel.run()
         assert result.best is not None
         assert len(result.sized) == 1
+
+    def test_traced_funnel_reports_equal_under_both_executors(self):
+        """Serial and parallel engines report one funnel identically:
+        the engine is the only counter of the simulations it runs."""
+        def run(executor):
+            funnel = TopologyFunnel(
+                TABLE1, config=EngineConfig(executor=executor, workers=2,
+                                            cache=True, trace=True),
+                seed=2, sample=6, keep=2,
+                schedule=AnnealSchedule(moves_per_temperature=4,
+                                        cooling=0.5, max_evaluations=24))
+            result = funnel.run()
+            return result, funnel.engine.report()
+
+        (serial, s_report), (parallel, p_report) = run("serial"), \
+            run("parallel")
+        assert serial.best.topology == parallel.best.topology
+        assert serial.best.sizing.cost == parallel.best.sizing.cost
+        assert s_report["counters"] == p_report["counters"]
+        assert strip_volatile(s_report["spans"]) == \
+            strip_volatile(p_report["spans"])
 
     def test_engine_and_config_are_exclusive(self):
         engine = EvaluationEngine.from_config(EngineConfig())

@@ -344,7 +344,6 @@ class TestEngineReportSchema:
     def test_analysis_counters_suspended_during_dispatch(self):
         """In-process (serial) dispatch must not count analysis.* where
         pool workers could not: span attribution is executor-invariant."""
-        from repro.analysis import api
 
         def analysis_eval(x):
             assert current_tracer() is None  # suspended inside dispatch
