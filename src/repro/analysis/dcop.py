@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.analysis.mna import (
+    GMIN_DEFAULT,
     MnaSystem,
     MosOperatingPoint,
     SingularCircuitError,
@@ -87,7 +88,7 @@ class OperatingPoint:
 
 def dc_operating_point(circuit: Circuit,
                        x0: np.ndarray | None = None,
-                       gmin: float = 1e-12) -> OperatingPoint:
+                       gmin: float = GMIN_DEFAULT) -> OperatingPoint:
     """Solve the DC operating point of ``circuit``.
 
     Counts ``analysis.dc`` on the active tracer.  Raises
@@ -127,28 +128,37 @@ def _package(system: MnaSystem, x: np.ndarray, iterations: int) -> OperatingPoin
                           system=system)
 
 
-def _newton(system: MnaSystem, G_lin: np.ndarray, b: np.ndarray,
+def _newton(system: MnaSystem, G_lin: np.ndarray | None, b: np.ndarray,
             x0: np.ndarray, gmin_extra: float = 0.0,
-            max_iter: int = MAX_NR_ITERATIONS):
+            max_iter: int = MAX_NR_ITERATIONS,
+            max_step: float = MAX_STEP_VOLTS,
+            base_op: _solver.FactorizedOperator | None = None,
+            count_nonconv: bool = False):
     """Damped NR iteration.  Returns (x, iterations, converged).
 
-    Routes every solve through :mod:`repro.analysis.solver`.  The
-    Jacobian's linear part (``G_lin`` plus the ``gmin_extra`` node
-    shunt) and the convergence tolerances are built once per call.  For
-    a purely linear circuit the Jacobian never changes, so the LU
-    factorization is computed once and reused by every iteration;
-    nonlinear circuits re-stamp a copy of the linear part per iteration
-    as Newton requires and solve each step once with
-    :func:`~repro.analysis.solver.solve_stack`.
+    The one Newton loop of DC analysis and of every transient timestep
+    (:func:`repro.analysis.transient._step`).  Routes every solve
+    through :mod:`repro.analysis.solver`.  The Jacobian's linear part
+    (``G_lin`` plus the ``gmin_extra`` node shunt) and the convergence
+    tolerances are built once per call, and no node voltage moves by
+    more than ``max_step`` per iteration.  For a purely linear circuit
+    the Jacobian never changes, so one LU factorization serves every
+    iteration: ``base_op`` when the caller has one (then ``G_lin`` is
+    not read), else one computed on the first iteration.  Nonlinear
+    circuits re-stamp a copy of the linear part per iteration as Newton
+    requires and solve each step once with
+    :func:`~repro.analysis.solver.solve_stack`.  ``count_nonconv``
+    counts ``analysis.newton_nonconv`` when the loop runs out of
+    iterations; a singular system ends the loop uncounted.
     """
     x = x0.copy()
     n_nodes = len(system.node_names)
-    base = G_lin.copy()
-    if gmin_extra:
-        base[:n_nodes, :n_nodes] += np.eye(n_nodes) * gmin_extra
+    if base_op is None:
+        base = G_lin.copy()
+        if gmin_extra:
+            base[:n_nodes, :n_nodes] += np.eye(n_nodes) * gmin_extra
     tol = _tolerances(system)
     linear_only = not system.nonlinear
-    base_op = None
     for it in range(1, max_iter + 1):
         rhs = b.copy()
         try:
@@ -166,11 +176,13 @@ def _newton(system: MnaSystem, G_lin: np.ndarray, b: np.ndarray,
         # Damp node-voltage updates; branch currents are left free.
         dv = delta[:n_nodes]
         max_dv = np.max(np.abs(dv)) if n_nodes else 0.0
-        if max_dv > MAX_STEP_VOLTS:
-            delta = delta * (MAX_STEP_VOLTS / max_dv)
+        if max_dv > max_step:
+            delta = delta * (max_step / max_dv)
         x = x + delta
         if _converged(delta, x, tol):
             return x, it, True
+    if count_nonconv:
+        count("analysis.newton_nonconv")
     return x, max_iter, False
 
 

@@ -101,6 +101,7 @@ class MnaSystem:
         ]
         self._validate_controls(flat)
         self._compile_plan()
+        self._linear: tuple[np.ndarray, ...] | None = None
 
     def _validate_controls(self, flat: Circuit) -> None:
         for d in flat.devices:
@@ -133,8 +134,16 @@ class MnaSystem:
     def linear_stamps(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Return (G, C, b_dc, b_ac) for all linear elements.
 
-        ``b_ac`` is complex: AC magnitudes are stamped with zero phase.
+        The stamps are assembled once per system; every call returns
+        fresh copies, which the caller may stamp into.  ``b_ac`` is
+        complex: AC magnitudes are stamped with zero phase.
         """
+        if self._linear is None:
+            self._linear = self._assemble_linear()
+        G, C, b_dc, b_ac = self._linear
+        return G.copy(), C.copy(), b_dc.copy(), b_ac.copy()
+
+    def _assemble_linear(self) -> tuple[np.ndarray, ...]:
         n = self.size
         G = np.zeros((n, n))
         C = np.zeros((n, n))

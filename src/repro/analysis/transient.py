@@ -13,14 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.analysis.dcop import (
-    ConvergenceError,
-    _converged,
-    _tolerances,
-    dc_operating_point,
-)
+from repro.analysis.dcop import ConvergenceError, _newton, dc_operating_point
 from repro.analysis.mna import MnaSystem, SingularCircuitError
-from repro.analysis.solver import FactorizationCache, solve_stack
+from repro.analysis.solver import FactorizationCache
 from repro.circuits.devices import CurrentSource, VoltageSource
 from repro.circuits.netlist import Circuit
 from repro.engine.trace import count
@@ -155,19 +150,6 @@ def _rhs_at_time(system: MnaSystem, sources, t: float) -> np.ndarray:
     return b
 
 
-def _newton_nonconv(t: float, h: float) -> None:
-    """Count an exhausted Newton loop on the active tracer.
-
-    A step that burns through all 60 iterations used to return
-    ``(False, x)`` with no trace: the integrator either silently halved
-    the step or raised much later with no record of *where* Newton
-    struggled.  The counter (``analysis.newton_nonconv``) flows into
-    ``engine.report()`` and the run manifest like every other
-    ``analysis.*`` counter.
-    """
-    count("analysis.newton_nonconv")
-
-
 def _step(system: MnaSystem, G: np.ndarray, C: np.ndarray, sources,
           x0: np.ndarray, t: float, h: float,
           backward_euler: bool,
@@ -175,6 +157,10 @@ def _step(system: MnaSystem, G: np.ndarray, C: np.ndarray, sources,
           ) -> tuple[bool, np.ndarray]:
     """One theta-method step; returns (converged, x_new).
 
+    Newton runs in :func:`repro.analysis.dcop._newton` with a 1 V step
+    cap and 60 iterations; a step that runs out of them counts
+    ``analysis.newton_nonconv``, which flows into ``engine.report()``
+    and the run manifest like every other ``analysis.*`` counter.
     ``factors`` (only passed for circuits with no nonlinear devices)
     caches the LU factorization of ``G + (theta/h)·C`` keyed by
     ``(h, scheme)`` so repeated timesteps — and repeated halvings to the
@@ -190,36 +176,15 @@ def _step(system: MnaSystem, G: np.ndarray, C: np.ndarray, sources,
         f0 = system.nonlinear_currents(x0)
         const = b1 + b0 - G @ x0 - f0 + (2.0 / h) * (C @ x0)
         mat_c = 2.0 * C / h
-    x = x0.copy()
-    n_nodes = len(system.node_names)
-    tol = _tolerances(system)
-    base_op = None
-    if factors is not None:
+    base = base_op = None
+    if factors is None:
+        base = G + mat_c
+    else:
         try:
             base_op = factors.get_or_factorize(
                 (h, backward_euler), lambda: G + mat_c)
         except SingularCircuitError:
-            return False, x
-    else:
-        base = G + mat_c
-    for _ in range(60):
-        rhs = const.copy()
-        try:
-            if base_op is not None:
-                x_new = base_op.solve(rhs)
-            else:
-                A = base.copy()
-                system.stamp_nonlinear(x, A, rhs)
-                x_new = solve_stack(A[None], rhs[None])[0]
-        except SingularCircuitError:
-            return False, x
-        delta = x_new - x
-        dv = delta[:n_nodes]
-        max_dv = np.max(np.abs(dv)) if n_nodes else 0.0
-        if max_dv > 1.0:
-            delta = delta * (1.0 / max_dv)
-        x = x + delta
-        if _converged(delta, x, tol):
-            return True, x
-    _newton_nonconv(t, h)
-    return False, x
+            return False, x0.copy()
+    x, _, ok = _newton(system, base, const, x0, max_iter=60, max_step=1.0,
+                       base_op=base_op, count_nonconv=True)
+    return ok, x

@@ -12,7 +12,7 @@ manifest schemas.
 
 from repro.engine.cache import CacheStats, EvalCache, canonical_key
 from repro.engine.config import EngineConfig, ServeConfig, SurrogateConfig
-from repro.engine.core import BATCH_FALLBACK, EvaluationEngine, KeyedEngine
+from repro.engine.core import EvaluationEngine, KeyedEngine
 from repro.engine.executor import (
     BatchStats,
     Executor,
@@ -52,7 +52,6 @@ from repro.engine.trace import (
 )
 
 __all__ = [
-    "BATCH_FALLBACK",
     "BatchStats",
     "CacheStats",
     "EngineConfig",

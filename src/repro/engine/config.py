@@ -88,10 +88,10 @@ class ServeConfig:
         worker processes.  ``1`` (default) is the single-broker shape —
         a plain :class:`~repro.serve.Broker` ignores the knob.
     shared_store_dir:
-        Directory of the cross-shard content-addressed result store
-        (:class:`repro.serve.SharedStore`): every shard's engine mounts
-        it as its disk :class:`~repro.engine.cache.EvalCache` layer, so
-        a result computed on one shard is a cache hit on every other.
+        Directory of the cross-shard content-addressed result store:
+        every shard's engine mounts it as its disk
+        :class:`~repro.engine.cache.EvalCache` layer, so a result
+        computed on one shard is a cache hit on every other.
         ``None`` keeps shards' caches private.
     http_host / http_port / synthesize_workload:
         The HTTP front door's settings, read by

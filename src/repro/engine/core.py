@@ -20,7 +20,6 @@ and assert the ``engine.evaluations`` delta is zero.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
@@ -31,13 +30,6 @@ from repro.engine.faults import is_failure
 from repro.engine.schema import render_report
 from repro.engine.telemetry import Telemetry
 from repro.engine.trace import Tracer
-
-#: Sentinel a batcher returns in result position for a member it could not
-#: evaluate (non-convergent or singular system, build failure).
-#: The engine routes exactly those members through the normal executor
-#: dispatch path, so their results — including failure semantics, retries
-#: and fault injection — are identical to an unbatched run.
-BATCH_FALLBACK = object()
 
 
 class EvaluationEngine:
@@ -106,8 +98,7 @@ class EvaluationEngine:
 
     # -- evaluation ----------------------------------------------------
     def map_evaluate(self, fn: Callable[[Any], Any], points: Sequence[Any],
-                     key_fn: Callable[[Any], str] | None = None,
-                     batcher: Any = None) -> list:
+                     key_fn: Callable[[Any], str] | None = None) -> list:
         """``[fn(p) for p in points]`` with caching and batched dispatch.
 
         ``key_fn`` maps a point to its content-addressed cache key; when
@@ -115,20 +106,8 @@ class EvaluationEngine:
         key must capture everything ``fn`` depends on — for circuit
         evaluations that is the serialized netlist plus analysis
         parameters (see :func:`repro.engine.cache.canonical_key`).
-
-        ``batcher`` (optional) routes cache misses through a group
-        evaluator before the executor sees them.  The protocol is three
-        members: ``group(points) -> list[list[int]]`` partitions points
-        into groups (index lists), ``evaluate(points) -> list`` computes
-        one group (returning :data:`BATCH_FALLBACK` in any slot it
-        cannot handle), and ``min_batch`` is the smallest group worth
-        evaluating together.  Groups
-        run parent-side under a suspended tracer — exactly like executor
-        dispatch — so span counter attribution stays identical across
-        executors; everything the batcher declines falls through to one
-        ordinary executor batch.  Caching, ``engine.*`` counters and
-        failure semantics are unchanged; the batched path only adds
-        ``kernel.*`` counters.
+        Every evaluated point goes through one executor dispatch
+        (:meth:`_dispatch`).
         """
         points = list(points)
         tele = self.telemetry
@@ -136,9 +115,6 @@ class EvaluationEngine:
         with tele.timer("engine.map_evaluate"):
             if self.cache is None or key_fn is None:
                 tele.count("engine.evaluations", len(points))
-                if batcher is not None:
-                    return self._evaluate_with_batcher(fn, points, batcher,
-                                                       hits=0)
                 return self._dispatch(fn, points, hits=0)
             results: list[Any] = [None] * len(points)
             miss_keys: list[str] = []
@@ -166,11 +142,7 @@ class EvaluationEngine:
             tele.count("engine.cache_misses", len(miss_keys))
             tele.count("engine.evaluations", len(miss_keys))
             if miss_keys:
-                if batcher is not None:
-                    computed = self._evaluate_with_batcher(
-                        fn, miss_points, batcher, hits=hits)
-                else:
-                    computed = self._dispatch(fn, miss_points, hits=hits)
+                computed = self._dispatch(fn, miss_points, hits=hits)
                 for key, value in zip(miss_keys, computed):
                     if not is_failure(value):
                         # Failures are never cached: the next request for
@@ -217,73 +189,6 @@ class EvaluationEngine:
             if retries:
                 tracer.event("retry", count=retries)
         return values
-
-    def _evaluate_with_batcher(self, fn: Callable[[Any], Any], points: list,
-                               batcher: Any, hits: int = 0) -> list:
-        """Batcher evaluation of one miss set, scalar fallback for the rest.
-
-        Deterministic by construction: groups are evaluated parent-side in
-        the order the batcher returns them (identical under serial and
-        parallel executors), and every point the kernel cannot take — too
-        small a group, a :data:`BATCH_FALLBACK` member, a group that
-        raised, or a point the fault injector has scheduled to fail — is
-        collected and dispatched through the *one* ordinary executor batch
-        at the end, in input order.  Fault-scheduled points are excluded
-        up front so their injected failures, retries and ``EvalFailure``
-        records match an unbatched run exactly.
-        """
-        tele = self.telemetry
-        results: list[Any] = [None] * len(points)
-        injector = self.executor.fault_injector
-        min_batch = max(2, int(getattr(batcher, "min_batch", 2) or 2))
-        groups = [list(g) for g in batcher.group(points)]
-        tele.count("kernel.groups", len(groups))
-        fallback_idx: list[int] = []
-        batched_total = 0
-        for group in groups:
-            eligible = []
-            for i in group:
-                if injector is not None and injector.schedule(
-                        self.executor._token(points[i])) is not None:
-                    tele.count("kernel.fault_exclusions")
-                    fallback_idx.append(i)
-                else:
-                    eligible.append(i)
-            if len(eligible) < min_batch:
-                fallback_idx.extend(eligible)
-                continue
-            t0 = time.perf_counter()
-            try:
-                with _trace.suspended():
-                    values = batcher.evaluate([points[i] for i in eligible])
-            except Exception:
-                # A broken kernel must never break the run: the whole
-                # group rides the executor path instead.
-                tele.count("kernel.group_fallbacks")
-                fallback_idx.extend(eligible)
-                continue
-            tele.record_sample("kernel.batch_s", time.perf_counter() - t0)
-            tele.count("kernel.batches")
-            for i, value in zip(eligible, values):
-                if value is BATCH_FALLBACK:
-                    tele.count("kernel.member_fallbacks")
-                    fallback_idx.append(i)
-                else:
-                    results[i] = value
-                    batched_total += 1
-        tele.count("kernel.batched_points", batched_total)
-        tele.count("kernel.scalar_points", len(fallback_idx))
-        if self.tracer is not None and points:
-            self.tracer.event("kernel_batch", points=len(points),
-                              groups=len(groups), batched=batched_total,
-                              scalar=len(fallback_idx))
-        fallback_idx.sort()
-        if fallback_idx:
-            computed = self._dispatch(
-                fn, [points[i] for i in fallback_idx], hits=hits)
-            for i, value in zip(fallback_idx, computed):
-                results[i] = value
-        return results
 
     def evaluate(self, fn: Callable[[Any], Any], point: Any,
                  key: str | None = None) -> Any:
@@ -383,9 +288,7 @@ class KeyedEngine:
 
     engine: EvaluationEngine
     key_fn: Callable[[Any], str]
-    batcher: Any = None
 
     def map_evaluate(self, fn: Callable[[Any], Any],
                      points: Sequence[Any]) -> list:
-        return self.engine.map_evaluate(fn, points, key_fn=self.key_fn,
-                                        batcher=self.batcher)
+        return self.engine.map_evaluate(fn, points, key_fn=self.key_fn)

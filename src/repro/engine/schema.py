@@ -238,7 +238,13 @@ SECTIONS = (
         _percentile("predict_latency_p50_s", "surrogate.predict_s", 0.50),
     ), rollups={4: ("fits", "predictions", "sims_avoided", "verify_misses",
                     "avoid_rate")}),
-    # v6: the batcher= path of EvaluationEngine.map_evaluate.
+    # v6: batched group evaluation in EvaluationEngine.map_evaluate.
+    # That path is gone (every point goes through the executor), so no
+    # code bumps kernel.* and every field reads 0 or None.  The section
+    # and its kernel_* rollups stay declared, with both schema versions
+    # unchanged, because perfbench's serve workload reads
+    # report["kernel"] on every run; dropping the section is a schema
+    # bump once that read goes.
     Section("kernel", (
         *_counters("kernel.", "groups", "batches", "batched_points",
                    "scalar_points", "member_fallbacks", "group_fallbacks",

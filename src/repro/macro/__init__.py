@@ -31,15 +31,10 @@ from repro.macro.tiling import (
     TiledMacro,
     tile_macro,
 )
-from repro.macro.workload import (
-    MacroBatcher,
-    MacroEvaluator,
-    macro_workload,
-)
+from repro.macro.workload import MacroEvaluator, macro_workload
 
 __all__ = [
     "BlockageMap",
-    "MacroBatcher",
     "MacroEvaluator",
     "MacroSignoff",
     "MacroSpec",

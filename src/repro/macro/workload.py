@@ -12,12 +12,15 @@ off.  Points are dicts::
 Everything downstream of the point is deterministic, so the
 content-addressed cache key is just the canonical encoding of (array,
 mesh, signoff) — two shards asked for the same macro share one signoff
-through the cross-shard store.  :class:`MacroBatcher` buckets cache
-misses by array geometry so same-geometry requests reuse one
-:class:`~repro.macro.tiling.TiledMacro` instead of re-tiling per point.
+through the shared disk cache.  The evaluator keeps each geometry's
+:class:`~repro.macro.tiling.TiledMacro` across batches, so
+same-geometry requests tile once per process, whichever executor
+thread runs them.
 """
 
 from __future__ import annotations
+
+import threading
 
 from repro.engine.cache import canonical_key
 from repro.macro.mesh import MeshSpec, route_mesh
@@ -29,11 +32,19 @@ _MESH_KEYS = ("h_rails", "v_rails", "h_width_nm", "v_width_nm")
 
 
 class MacroEvaluator:
-    """Point → signoff summary over arbitrary macro geometries."""
+    """Point → signoff summary over arbitrary macro geometries.
+
+    The tiling memo is shared by every thread that evaluates points
+    (the broker's thread executor) and guarded by one lock: a geometry
+    tiles once per process, and the oldest of ``max_cached_tilings``
+    geometries is evicted exactly once.  The lock does not pickle, so a
+    process-pool executor runs macro points in-process.
+    """
 
     def __init__(self, max_cached_tilings: int = 8):
         self._tilings: dict[tuple, TiledMacro] = {}
         self._max_cached = max_cached_tilings
+        self._lock = threading.Lock()
 
     def _split(self, point: dict) -> tuple[dict, dict, dict]:
         try:
@@ -51,12 +62,13 @@ class MacroEvaluator:
 
     def tiling_for(self, array: dict) -> TiledMacro:
         key = self._array_key(array)
-        macro = self._tilings.get(key)
-        if macro is None:
-            macro = tile_macro(MacroSpec(**array))
-            if len(self._tilings) >= self._max_cached:
-                self._tilings.pop(next(iter(self._tilings)))
-            self._tilings[key] = macro
+        with self._lock:
+            macro = self._tilings.get(key)
+            if macro is None:
+                macro = tile_macro(MacroSpec(**array))
+                if len(self._tilings) >= self._max_cached:
+                    self._tilings.pop(next(iter(self._tilings)))
+                self._tilings[key] = macro
         return macro
 
     def __call__(self, point: dict) -> dict:
@@ -77,33 +89,7 @@ class MacroEvaluator:
             sorted(signoff.items()))
 
 
-class MacroBatcher:
-    """Same-geometry batching: one tiling per group, not per point."""
-
-    min_batch: int = 2
-
-    def __init__(self, evaluator: MacroEvaluator):
-        self.evaluator = evaluator
-
-    def group(self, points: list[dict]) -> list[list[int]]:
-        groups: dict[tuple, list[int]] = {}
-        for i, point in enumerate(points):
-            try:
-                array, _, _ = self.evaluator._split(point)
-                key = self.evaluator._array_key(array)
-            except ValueError:
-                key = ("__invalid__", i)
-            groups.setdefault(key, []).append(i)
-        return list(groups.values())
-
-    def evaluate(self, points: list[dict]) -> list:
-        array, _, _ = self.evaluator._split(points[0])
-        self.evaluator.tiling_for(array)  # tile once, reused per point
-        return [self.evaluator(p) for p in points]
-
-
 def macro_workload(name: str = "macro") -> Workload:
     """Build the memory-macro serve workload (broker-registrable)."""
     evaluator = MacroEvaluator()
-    return Workload(name=name, fn=evaluator, key_fn=evaluator.cache_key,
-                    batcher=MacroBatcher(evaluator))
+    return Workload(name=name, fn=evaluator, key_fn=evaluator.cache_key)

@@ -18,7 +18,8 @@ Past one broker, the layer scales *out*: a :class:`ShardRouter`
 consistent-hashes requests onto N broker/engine worker processes
 (supervised — crashed shards are respawned or condemned, their
 in-flight requests re-routed or settled, never dropped) that share
-results through a content-addressed :class:`SharedStore`.  Every
+results through one content-addressed disk cache directory
+(``ServeConfig.shared_store_dir``).  Every
 outcome is counted into the versioned report (``report()["serve"]``,
 with a per-shard breakdown under ``serve.shards``) — nothing is ever
 silently dropped, fleet-wide.
@@ -43,7 +44,6 @@ from repro.serve.http_async import (
 from repro.serve.replay import ReplayReport, replay, result_digest
 from repro.serve.session import Session
 from repro.serve.shard import HashRing, ShardCrashError, ShardRouter
-from repro.serve.store import SharedStore
 
 __all__ = [
     "AdmissionController",
@@ -63,7 +63,6 @@ __all__ = [
     "ServeClient",
     "ServeConfig",
     "Session",
-    "SharedStore",
     "ShardCrashError",
     "ShardRouter",
     "TokenBucket",

@@ -69,19 +69,11 @@ class Workload:
     with it, identical requests from different clients collapse onto one
     evaluation.  Two requests are batchable iff they name the same
     workload, which is what guarantees one ``fn`` per engine batch.
-
-    ``batcher`` (optional) implements the three-member batcher protocol
-    of ``map_evaluate`` (for memory macros,
-    :class:`repro.macro.workload.MacroBatcher`, which tiles once per
-    group): the micro-batches the broker already coalesces then run
-    parent-side per group, with the executor's scalar path re-running
-    any member the batcher declines.
     """
 
     name: str
     fn: Callable[[Any], Any]
     key_fn: Callable[[Any], str] | None = None
-    batcher: Any = None
 
 
 class ResultHandle:
@@ -459,8 +451,7 @@ class Broker:
             span_cm.__enter__()
         try:
             values = self.engine.map_evaluate(workload.fn, points,
-                                              key_fn=workload.key_fn,
-                                              batcher=workload.batcher)
+                                              key_fn=workload.key_fn)
         except BaseException as exc:
             # map_evaluate raising (no retry policy installed) must not
             # kill the dispatcher: fail the whole batch loudly — in its

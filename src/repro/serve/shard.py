@@ -30,10 +30,9 @@ Design decisions, in order of importance:
   shard crash.
 * **Shards share results, not memory.**  With
   ``ServeConfig.shared_store_dir`` set, every shard mounts the same
-  :class:`~repro.serve.store.SharedStore` directory as its engine's
-  disk cache layer — a result computed on shard 2 is a disk hit on
-  shard 5, with no coordination beyond atomic write-then-rename
-  publishes.
+  directory as its engine's :class:`~repro.engine.cache.EvalCache`
+  disk layer — a result computed on shard 2 is a disk hit on shard 5,
+  with no coordination beyond atomic write-then-rename publishes.
 
 The wire between router and shard is one duplex pipe per shard carrying
 plain tuples; results come back with their structural digest so the
@@ -60,6 +59,7 @@ import queue
 import threading
 import time
 from dataclasses import dataclass, field, replace
+from pathlib import Path
 from typing import Any, Callable
 
 from repro.engine.cache import EvalCache, canonical_key
@@ -73,7 +73,6 @@ from repro.serve.admission import (
 )
 from repro.serve.broker import Broker, ResultHandle, Workload
 from repro.serve.replay import result_digest
-from repro.serve.store import SharedStore
 
 
 class ShardCrashError(RuntimeError):
@@ -339,9 +338,12 @@ class ShardRouter:
                               max_queue_depth=2 * serve.max_queue_depth + 64,
                               corpus_dir=None)
         self._shard_config = replace(engine_config, serve=shard_serve)
-        self.store: SharedStore | None = None
+        self._store_dir: str | None = None
         if serve.shared_store_dir is not None:
-            self.store = SharedStore(serve.shared_store_dir)
+            # Exists from construction on, before any shard mounts it.
+            store = Path(serve.shared_store_dir)
+            store.mkdir(parents=True, exist_ok=True)
+            self._store_dir = str(store)
             if not isinstance(self._shard_config.cache, EvalCache):
                 self._shard_config.cache = True
             self._shard_config.disk_cache_dir = serve.shared_store_dir
@@ -544,7 +546,7 @@ class ShardRouter:
         lookups = merged["hits"] + merged["misses"]
         merged["hit_rate"] = merged["hits"] / lookups if lookups else 0.0
         merged["max_entries"] = sum(c.get("max_entries", 0) for c in caches)
-        merged["disk_dir"] = str(self.store.root) if self.store else None
+        merged["disk_dir"] = self._store_dir
         return merged
 
     # -- internals: routing and settling (lock held) -------------------

@@ -24,7 +24,12 @@ from typing import Callable
 
 import numpy as np
 
-from repro.analysis.ac import ac_analysis, bode_metrics, logspace_frequencies
+from repro.analysis.ac import (
+    ac_analysis,
+    bode_metrics,
+    logspace_frequencies,
+    small_signal_system,
+)
 from repro.analysis.dcop import ConvergenceError, dc_operating_point
 from repro.analysis.mna import SingularCircuitError
 from repro.analysis.noise import noise_analysis
@@ -129,16 +134,20 @@ class SimulationEvaluator:
         metrics; raises on failure.
 
         With :meth:`_performance` this is the one per-point simulation
-        path, which :meth:`simulate` runs.
+        path, which :meth:`simulate` runs.  The small-signal system is
+        built once, on the DC's own MNA system, and serves both the AC
+        sweep and the noise analysis.
         """
         circuit = self.build_testbench(sizes)
         op = dc_operating_point(circuit)
+        ss = small_signal_system(circuit, op)
         freqs = logspace_frequencies(self.f_start, self.f_stop,
                                      self.points_per_decade)
-        ac = ac_analysis(circuit, freqs, op=op)
-        return circuit, op, bode_metrics(ac, self.output)
+        ac = ac_analysis(circuit, freqs, ss=ss)
+        return circuit, op, ss, bode_metrics(ac, self.output)
 
-    def _performance(self, circuit: Circuit, op, metrics) -> dict[str, float]:
+    def _performance(self, circuit: Circuit, op, ss,
+                     metrics) -> dict[str, float]:
         """Assemble the performance dict from solved analyses."""
         performance = {
             "gain": metrics.dc_gain,
@@ -153,7 +162,7 @@ class SimulationEvaluator:
                 1.0 if op.mos[name].region == "saturation" else 0.0)
         if self.with_noise:
             noise = noise_analysis(circuit, self.output,
-                                   np.logspace(2, 7, 11), op=op)
+                                   np.logspace(2, 7, 11), ss=ss)
             inp = noise.input_referred_psd()
             performance["input_noise_density"] = float(np.sqrt(inp[-1]))
         return performance

@@ -1,22 +1,22 @@
-"""Differential conformance harness for batched evaluation.
+"""Conformance harness for the engine's one evaluation path.
 
-The batched path (the engine's ``batcher`` hook, driven here by the
-small :class:`OneGroupBatcher`) must be *indistinguishable* from the
-scalar path everywhere a user can observe: results, cache keys,
-netlists, failure records, span-tree shapes and manifest digests.  This
-file is the gate — every cell of the
+Every point the engine evaluates goes through one executor dispatch, so
+a serial and a process-parallel executor must be *indistinguishable*
+everywhere a user can observe: results, cache keys, netlists, failure
+records, span trees and manifests.  This file is the gate — every cell
+of the
 
-    seed x {scalar, batched} x {serial, parallel} x {fault, no-fault}
+    seed x {serial, parallel} x {fault, no-fault}
 
-matrix runs both paths and cross-checks them.
+matrix runs the same candidate stream and cross-checks the two
+executors.
 
-Numerical contract: both modes run every point through the same
-per-point simulation code, whose one-shot MNA solves all go through
+Numerical contract: every point runs through the same per-point
+simulation code, whose one-shot MNA solves all go through
 :func:`repro.analysis.solver.solve_stack`, so results agree *bitwise*
-(NaN-aware) across modes, and within one mode reruns (and serial vs
-parallel executors) are bit-identical, and so are their manifest
-digests.  A member of a stacked solve does not depend on the rest of
-the stack, which the sweep tests below pin.
+(NaN-aware) across executors, reruns are bit-identical, and so are their
+manifest digests.  A member of a stacked solve does not depend on the
+rest of the stack, which the sweep tests below pin.
 """
 
 import math
@@ -41,12 +41,10 @@ from repro.circuits.library import (
 )
 from repro.circuits.netlist import Circuit
 from repro.engine import (
-    BATCH_FALLBACK,
     EngineConfig,
     EvalCache,
     EvaluationEngine,
     FaultInjector,
-    ServeConfig,
     SurrogateConfig,
     build_manifest,
     is_failure,
@@ -54,11 +52,9 @@ from repro.engine import (
     validate_manifest,
 )
 from repro.opt.anneal import AnnealSchedule
-from repro.serve import Broker, Workload
 from repro.core.specs import Spec, SpecSet
 from repro.synthesis import DesignSpace
 from repro.synthesis.simulation_based import (
-    SIMULATION_ERRORS,
     SimulationBasedSizer,
     SimulationEvaluator,
 )
@@ -256,7 +252,7 @@ class TestCacheConcurrency:
 
 
 # ----------------------------------------------------------------------
-# The differential matrix: engine-level scalar vs batched
+# The differential matrix: serial vs parallel executor
 # ----------------------------------------------------------------------
 
 OTA_SPACE = DesignSpace(
@@ -295,51 +291,8 @@ def _evaluator() -> SimulationEvaluator:
                                raise_failures=True)
 
 
-class OneGroupBatcher:
-    """The engine's batcher protocol in its smallest form.
-
-    Every point is one group, each member runs the scalar per-point
-    code, and a member that fails goes back to the executor path as
-    :data:`~repro.engine.BATCH_FALLBACK`.
-    """
-
-    min_batch = 2
-
-    def __init__(self, evaluator: SimulationEvaluator):
-        self.evaluator = evaluator
-
-    def group(self, points: list) -> list[list[int]]:
-        return [list(range(len(points)))] if points else []
-
-    def evaluate(self, points: list) -> list:
-        results = []
-        for sizes in points:
-            try:
-                results.append(self.evaluator.simulate(sizes))
-            except SIMULATION_ERRORS:
-                results.append(BATCH_FALLBACK)
-        return results
-
-
-def _filter_kernel_counters(tree):
-    """Span-tree copy with ``kernel.*`` counter keys removed — the only
-    place the two modes may legitimately differ."""
-    if isinstance(tree, list):
-        return [_filter_kernel_counters(t) for t in tree]
-    out = {}
-    for key, value in tree.items():
-        if key == "counters":
-            out[key] = {k: v for k, v in value.items()
-                        if not k.startswith("kernel.")}
-        elif key == "children":
-            out[key] = _filter_kernel_counters(value)
-        else:
-            out[key] = value
-    return out
-
-
-def _run_cell(seed: int, *, batched: bool, executor: str,
-              fault_rate: float = 0.0, n_points: int = 10):
+def _run_cell(seed: int, *, executor: str, fault_rate: float = 0.0,
+              n_points: int = 10):
     """One matrix cell: fixed candidate stream through map_evaluate."""
     injector = FaultInjector(rate=fault_rate, seed=seed) \
         if fault_rate else None
@@ -347,12 +300,10 @@ def _run_cell(seed: int, *, batched: bool, executor: str,
                           trace=True, fault_injector=injector)
     engine = EvaluationEngine.from_config(config)
     evaluator = _evaluator()
-    batcher = OneGroupBatcher(evaluator) if batched else None
     points = _ota_candidates(seed, n_points)
     with engine.tracer.span("differential"):
         results = engine.map_evaluate(evaluator.simulate, points,
-                                      key_fn=evaluator.cache_key,
-                                      batcher=batcher)
+                                      key_fn=evaluator.cache_key)
     report = engine.report()
     manifest = build_manifest("differential", engine, seed=seed,
                               config=config)
@@ -371,16 +322,16 @@ def _run_cell(seed: int, *, batched: bool, executor: str,
     }
 
 
-def _assert_results_conform(scalar, batched):
-    assert len(scalar) == len(batched)
-    for s, b in zip(scalar, batched):
-        if is_failure(s) or is_failure(b):
-            assert is_failure(s) and is_failure(b)
-            assert s.exception_type == b.exception_type
+def _assert_results_conform(a, b):
+    assert len(a) == len(b)
+    for x, y in zip(a, b):
+        if is_failure(x) or is_failure(y):
+            assert is_failure(x) and is_failure(y)
+            assert x.exception_type == y.exception_type
             continue
-        assert set(s) == set(b)
-        for name in s:
-            assert _same_bits(b[name], s[name]), (name, s[name], b[name])
+        assert set(x) == set(y)
+        for name in x:
+            assert _same_bits(y[name], x[name]), (name, x[name], y[name])
 
 
 class TestEngineDifferential:
@@ -393,71 +344,36 @@ class TestEngineDifferential:
         # exact same hits).
         n_points = max(10, int(np.ceil(3.0 / fault_rate))) \
             if fault_rate else 10
-        cells = {
-            (mode, executor): _run_cell(seed, batched=(mode == "batched"),
-                                        executor=executor,
-                                        fault_rate=fault_rate,
-                                        n_points=n_points)
-            for mode in ("scalar", "batched")
-            for executor in ("serial", "parallel")
-        }
-        ss = cells[("scalar", "serial")]
-        sp = cells[("scalar", "parallel")]
-        bs = cells[("batched", "serial")]
-        bp = cells[("batched", "parallel")]
+        serial, parallel = (
+            _run_cell(seed, executor=executor, fault_rate=fault_rate,
+                      n_points=n_points)
+            for executor in ("serial", "parallel"))
 
-        # Netlists and cache keys: identical across every cell.
-        for cell in cells.values():
-            assert cell["netlists"] == ss["netlists"]
-            assert cell["cache_keys"] == ss["cache_keys"]
+        # Netlists and cache keys: identical across executors.
+        assert parallel["netlists"] == serial["netlists"]
+        assert parallel["cache_keys"] == serial["cache_keys"]
 
-        # Within-mode, serial == parallel bit-identically.
-        for a, b in ((ss, sp), (bs, bp)):
-            assert len(a["results"]) == len(b["results"])
-            for x, y in zip(a["results"], b["results"]):
-                if is_failure(x):
-                    assert is_failure(y)
-                    assert x.exception_type == y.exception_type
-                else:
-                    assert x == y
+        # Per-point results bit for bit, failures by exception type.
+        _assert_results_conform(serial["results"], parallel["results"])
 
-        # Across modes, per-point conformance bit for bit.
-        _assert_results_conform(ss["results"], bs["results"])
-
-        # Failure records (injected faults) match across all four cells.
+        # Failure records (injected faults) match across executors.
         records = [
             [{k: v for k, v in rec.items() if k != "elapsed_s"}
              for rec in cell["report"]["failures"]["records"]]
-            for cell in cells.values()
+            for cell in (serial, parallel)
         ]
-        assert all(r == records[0] for r in records[1:])
+        assert records[0] == records[1]
         if fault_rate:
-            assert ss["report"]["failures"]["total"] > 0
-            assert bs["report"]["kernel"]["fault_exclusions"] \
-                == ss["report"]["failures"]["total"]
+            assert serial["report"]["failures"]["total"] > 0
 
-        # Span-tree shapes agree across modes once kernel.* counters —
-        # the batched path's only deliberate addition — are filtered.
-        assert _filter_kernel_counters(bs["structure"]) \
-            == _filter_kernel_counters(ss["structure"])
-
-        # The batched cells actually batched something (all points share
-        # the OTA topology, none are fault-scheduled in the clean run).
-        kernel = bs["report"]["kernel"]
-        assert kernel["groups"] >= 1
-        if not fault_rate:
-            assert kernel["batched_points"] == len(bs["results"])
-            assert kernel["scalar_points"] == 0
-        else:
-            assert kernel["batched_points"] + kernel["scalar_points"] \
-                == len(bs["results"])
-        for cell in cells.values():
+        # Span counters are attributed identically under both executors.
+        assert parallel["structure"] == serial["structure"]
+        for cell in (serial, parallel):
             validate_manifest(cell["manifest"])
 
-    @pytest.mark.parametrize("batched", [False, True])
-    def test_rerun_determinism_and_manifest_digest(self, batched):
-        a = _run_cell(5, batched=batched, executor="serial")
-        b = _run_cell(5, batched=batched, executor="serial")
+    def test_rerun_determinism_and_manifest_digest(self):
+        a = _run_cell(5, executor="serial")
+        b = _run_cell(5, executor="serial")
         assert a["results"] == b["results"]
         assert a["digest"] == b["digest"]
         assert a["structure"] == b["structure"]
@@ -480,35 +396,3 @@ class TestEngineDifferential:
         assert r1.history == r2.history
         assert rep1["surrogate"]["predictions"] == \
             rep2["surrogate"]["predictions"]
-        # Sizing evaluates through the executor; only a batcher batches.
-        assert rep1["kernel"]["batches"] == 0
-
-
-# ----------------------------------------------------------------------
-# Serve layer: MicroBatcher batches ride the kernel path
-# ----------------------------------------------------------------------
-
-class TestServeBatched:
-    def test_workload_batcher_reaches_kernel(self):
-        evaluator = _evaluator()
-        config = EngineConfig(
-            cache=True,
-            serve=ServeConfig(max_batch=8, max_wait_ms=100.0))
-        engine = EvaluationEngine.from_config(config)
-        broker = Broker(engine, config=config.serve, owns_engine=True)
-        broker.register(Workload("ota", evaluator.simulate,
-                                 key_fn=evaluator.cache_key,
-                                 batcher=OneGroupBatcher(evaluator)))
-        points = _ota_candidates(21, 8)
-        with broker:
-            handles = [broker.submit("ota", p) for p in points]
-            results = [h.result(timeout=60) for h in handles]
-        report = engine.report()
-        scalar = [_evaluator().simulate(p) for p in points]
-        _assert_results_conform(scalar, results)
-        kernel = report["kernel"]
-        # Every evaluated point went through the batcher hook, whether it
-        # was vectorized or (sub-min_batch micro-batches) fell back.
-        assert kernel["groups"] >= 1
-        assert kernel["batched_points"] + kernel["scalar_points"] \
-            == report["counters"]["engine.evaluations"]

@@ -12,8 +12,12 @@ zero-silent-drops invariant intact, and the two hardening satellites
 errors instead of degrading silently.
 """
 
+import sys
+import threading
+
 import pytest
 
+import repro.macro.workload as workload_mod
 from repro.engine.cache import canonical_key
 from repro.engine.config import EngineConfig, ServeConfig
 from repro.engine.core import EvaluationEngine
@@ -27,6 +31,7 @@ from repro.engine.schema import (
 from repro.engine.telemetry import Telemetry
 from repro.engine.trace import Tracer, finish_run
 from repro.macro import (
+    MacroEvaluator,
     MacroSpec,
     MacroTilingError,
     MeshRoutingError,
@@ -43,7 +48,7 @@ from repro.macro import (
 )
 from repro.macro.mesh import rail_tracks
 from repro.msystem import GridSegment, GridWidthError
-from repro.serve import ShardRouter, Workload
+from repro.serve import Broker, ShardRouter
 
 SMALL = MacroSpec(rows=16, cols=16, strap_every=4, name="m16")
 
@@ -342,13 +347,6 @@ class TestMacroWorkload:
         with pytest.raises(ValueError):
             wl.fn({"mesh": {}})
 
-    def test_batcher_groups_by_geometry(self):
-        wl = macro_workload()
-        points = [_point(rows=8), _point(rows=16), _point(rows=8, h=2),
-                  {"bogus": 1}]
-        groups = wl.batcher.group(points)
-        assert sorted(map(sorted, groups)) == [[0, 2], [1], [3]]
-
     def test_evaluator_reuses_tiling_per_geometry(self):
         wl = macro_workload()
         first = wl.fn(_point())
@@ -362,13 +360,106 @@ class TestMacroWorkload:
         points = [_point(), _point(h=4), _point()]
         engine = EvaluationEngine.from_config(EngineConfig(cache=True))
         try:
-            results = engine.map_evaluate(wl.fn, points, key_fn=wl.key_fn,
-                                          batcher=wl.batcher)
+            results = engine.map_evaluate(wl.fn, points, key_fn=wl.key_fn)
         finally:
             engine.close()
         assert results[0] == results[2]
         assert results[0]["mesh"]["h_rails"] == 3
         assert results[1]["mesh"]["h_rails"] == 4
+
+
+class TestTilingMemoThreads:
+    """Every macro point reaches ``tiling_for`` from executor threads."""
+
+    def test_concurrent_misses_tile_once(self, monkeypatch):
+        real = workload_mod.tile_macro
+        # A second tiler of the same geometry would meet the first here;
+        # alone, the first waits out the timeout and tiles.
+        rendezvous = threading.Barrier(2, timeout=0.5)
+        calls = []
+
+        def blocking(spec):
+            calls.append(spec)
+            try:
+                rendezvous.wait()
+            except threading.BrokenBarrierError:
+                pass
+            return real(spec)
+
+        monkeypatch.setattr(workload_mod, "tile_macro", blocking)
+        evaluator = MacroEvaluator()
+        array = _point()["array"]
+        start = threading.Barrier(2)
+        tilings = []
+
+        def worker():
+            start.wait()
+            tilings.append(evaluator.tiling_for(array))
+
+        threads = [threading.Thread(target=worker) for _ in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+        assert len(calls) == 1
+        assert len(tilings) == 2 and tilings[0] is tilings[1]
+
+    def test_eviction_under_threads_never_raises(self, monkeypatch):
+        monkeypatch.setattr(workload_mod, "tile_macro",
+                            lambda spec: spec.rows)
+        evaluator = MacroEvaluator()
+        arrays = [{"rows": rows, "cols": 4, "strap_every": 2}
+                  for rows in range(1, 13)]
+        errors = []
+        start = threading.Barrier(4)
+
+        def worker(offset):
+            start.wait()
+            try:
+                for k in range(20_000):
+                    array = arrays[(offset + 5 * k) % len(arrays)]
+                    assert evaluator.tiling_for(array) == array["rows"]
+            except Exception as exc:  # collected, re-raised below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(i,))
+                       for i in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert errors == []
+        assert len(evaluator._tilings) <= 8
+
+    def test_broker_threads_tile_each_geometry_once(self, monkeypatch):
+        real = workload_mod.tile_macro
+        calls = []
+
+        def counting(spec):
+            calls.append(spec)
+            return real(spec)
+
+        monkeypatch.setattr(workload_mod, "tile_macro", counting)
+        config = EngineConfig(executor="thread", workers=4, cache=True,
+                              serve=ServeConfig(max_batch=8,
+                                                max_wait_ms=50.0))
+        engine = EvaluationEngine.from_config(config)
+        broker = Broker(engine, config=config.serve, owns_engine=True)
+        broker.register(macro_workload())
+        points = [_point(h=h, v=v, hw=w) for h in (2, 3) for v in (2, 3)
+                  for w in (3_000, 3_500)]
+        with broker:
+            handles = [broker.submit("macro", p) for p in points]
+            results = [h.result(timeout=120) for h in handles]
+        assert len(calls) == 1
+        monkeypatch.setattr(workload_mod, "tile_macro", real)
+        reference = MacroEvaluator()
+        assert results == [reference(p) for p in points]
 
 
 class TestMacroFleet:
@@ -394,22 +485,6 @@ class TestMacroFleet:
             + serve_section["cancelled"] + serve_section["errored"])
         check_report(report)
         assert len(serve_section["shards"]) == 2
-
-    def test_fleet_report_merges_shard_kernel_samples(self):
-        """The fleet's kernel percentile comes from the shards' own
-        ``kernel.batch_s`` samples, merged like their counters."""
-        serve = ServeConfig(shards=2, max_wait_ms=200.0)
-        router = ShardRouter(EngineConfig(executor="serial", serve=serve))
-        router.register(macro_workload())
-        points = [_point(h=h, v=v, hw=w) for h in (2, 3) for v in (2, 3)
-                  for w in (3_000, 3_500)]
-        with router:
-            handles = [router.submit("macro", p) for p in points]
-            assert all(h.result(timeout=120)["feasible"] for h in handles)
-            report = router.report()
-        check_report(report)
-        assert report["kernel"]["batches"] > 0
-        assert report["kernel"]["batch_latency_p50_s"] is not None
 
 
 # ----------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Tests for the sharded serving layer (repro.serve.shard / store / client).
+"""Tests for the sharded serving layer (repro.serve.shard / client).
 
 The load-bearing guarantees, each pinned by its own test class:
 
@@ -10,7 +10,8 @@ The load-bearing guarantees, each pinned by its own test class:
   + cancelled + errored`` holds on the merged report, the per-shard
   breakdown sums to the fleet totals, and a crashed shard's in-flight
   requests are re-routed once or settled ``errored``, never lost.
-* **Shared results** — the :class:`SharedStore` publishes atomically
+* **Shared results** — the shared store (the directory every shard
+  mounts as its :class:`EvalCache` disk layer) publishes atomically
   under concurrent multi-process writers, and a result computed by one
   shard is a disk hit for another.
 * **One wire contract** — the typed :class:`ServeClient` round-trips
@@ -28,7 +29,9 @@ from hypothesis import strategies as st
 
 from repro.engine.cache import EvalCache, canonical_key, publish_pickle
 from repro.engine.config import EngineConfig, ServeConfig
-from repro.engine.schema import SHARD_FIELDS, check_report
+from repro.engine.core import EvaluationEngine
+from repro.engine.schema import SHARD_FIELDS, check_report, render_report
+from repro.engine.telemetry import Telemetry
 from repro.serve import (
     Broker,
     DeadlineExpiredError,
@@ -36,13 +39,12 @@ from repro.serve import (
     RejectedError,
     RemoteEngineError,
     ServeClient,
-    SharedStore,
     ShardRouter,
     Workload,
     make_async_server,
     replay,
 )
-from repro.serve.shard import route_key
+from repro.serve.shard import _fleet_share, route_key
 
 
 def square(point):
@@ -111,62 +113,61 @@ class TestHashRing:
 
 
 # ----------------------------------------------------------------------
-# SharedStore
+# The shared store: one EvalCache disk directory, many processes
 # ----------------------------------------------------------------------
 
 def _store_writer(root, worker, n):
-    store = SharedStore(root)
+    cache = EvalCache(disk_dir=root)
     for i in range(n):
-        store.put(f"key-{i}", {"value": i, "writer": worker})
+        cache.put(f"key-{i}", {"value": i, "writer": worker})
 
 
 class TestSharedStore:
 
     def test_put_get_roundtrip(self, tmp_path):
-        store = SharedStore(tmp_path / "store")
-        store.put("k1", {"a": 1})
-        assert store.get("k1") == {"a": 1}
-        assert store.get("absent", "fallback") == "fallback"
-        assert "k1" in store
-        assert list(store.keys()) == ["k1"]
-        assert store.report() == {"root": str(tmp_path / "store"),
-                                  "artifacts": 1}
+        root = tmp_path / "store"
+        EvalCache(disk_dir=root).put("k1", {"a": 1})
+        cache = EvalCache(disk_dir=root)
+        assert cache.get("k1") == {"a": 1}
+        assert cache.stats.disk_hits == 1
+        assert cache.get("absent", "fallback") == "fallback"
+        assert "k1" in cache
+        assert [key for key, _ in cache.scan_disk()] == ["k1"]
+        assert cache.report()["disk_dir"] == str(root)
 
     def test_concurrent_multiprocess_writers(self, tmp_path):
         """Racing writers of the same keys: every published artifact is
-        complete (atomic rename), no temp files leak, and scan_disk on a
-        mounted cache sees only whole values."""
+        complete (atomic rename), no temp files leak, and scan_disk sees
+        only whole values."""
         root = tmp_path / "store"
         ctx = multiprocessing.get_context("fork")
         workers = [ctx.Process(target=_store_writer, args=(root, w, 50))
                    for w in range(4)]
         for p in workers:
             p.start()
-        store = SharedStore(root)
+        reader = EvalCache(disk_dir=root)
         # Read concurrently with the writers: never a partial value.
         deadline = time.monotonic() + 30
         while any(p.is_alive() for p in workers) \
                 and time.monotonic() < deadline:
-            for key in store.keys():
-                value = store.get(key)
-                assert value is None or set(value) == {"value", "writer"}
+            for _, value in reader.scan_disk():
+                assert set(value) == {"value", "writer"}
         for p in workers:
             p.join(timeout=30)
             assert p.exitcode == 0
-        assert len(store) == 50
-        for i in range(50):
-            assert store.get(f"key-{i}")["value"] == i
-        assert not list(root.glob("*.tmp")) and not list(root.glob(".*"))
-        scanned = dict(store.make_cache().scan_disk())
+        scanned = dict(reader.scan_disk())
         assert len(scanned) == 50
+        fresh = EvalCache(disk_dir=root)
+        for i in range(50):
+            assert fresh.get(f"key-{i}")["value"] == i
+        assert not list(root.glob("*.tmp")) and not list(root.glob(".*"))
 
     def test_mounted_cache_sees_other_writers(self, tmp_path):
         """The cross-shard promise in miniature: a value published by
         one cache instance is a disk hit for a fresh one."""
-        store = SharedStore(tmp_path / "store")
-        writer = store.make_cache()
+        writer = EvalCache(disk_dir=tmp_path / "store")
         writer.put("shared-key", {"y": 42})
-        reader = store.make_cache()
+        reader = EvalCache(disk_dir=tmp_path / "store")
         assert reader.get("shared-key") == {"y": 42}
         assert reader.stats.disk_hits == 1
 
@@ -207,6 +208,20 @@ class TestShardRouter:
             # The batching layer ran on the shards and merged back in.
             assert serve["batches"] >= 1
             assert report["cache"]["entries"] >= 7
+
+    def test_shard_samples_reach_fleet_percentiles(self):
+        """What a shard adds to the fleet report keeps its own samples,
+        which the merged report turns into percentiles, and drops its
+        per-request latencies, which the router times itself."""
+        engine = EvaluationEngine()
+        engine.telemetry.record_sample("surrogate.fit_s", 0.25)
+        engine.telemetry.record_sample("serve.latency_s", 1.0)
+        share, _ = _fleet_share(engine)
+        fleet = Telemetry()
+        fleet.merge(share)
+        report = render_report(fleet, executor={}, cache=None, spans=[])
+        assert report["surrogate"]["fit_latency_p50_s"] == 0.25
+        assert report["serve"]["latency_p50_s"] is None
 
     def test_identical_requests_route_to_one_shard(self, tmp_path):
         with make_router(4, tmp_path) as router:

@@ -2,11 +2,14 @@
 
 A simulator call builds the MNA system of its circuit once: the
 operating point carries the system it was solved on, and the
-small-signal system of the same circuit reuses it.  The reuse must not
-move a bit: G, C and b_ac equal a fresh build, and ASTRX's compiled
-evaluation equals a copy of the code from before the reuse.  Each
-public analysis call counts ``analysis.<kind>`` once, so a simulation
-counts one DC and one AC whether or not the systems are shared.
+small-signal system of the same circuit reuses it.  The system
+assembles its linear stamps once, and a simulation builds one
+small-signal system for its AC sweep and its noise analysis.  The
+reuse must not move a bit: G, C and b_ac equal a fresh build, and
+ASTRX's compiled evaluation equals a copy of the code from before the
+reuse.  Each public analysis call counts ``analysis.<kind>`` once, so
+a simulation counts one DC and one AC whether or not the systems are
+shared.
 """
 
 from __future__ import annotations
@@ -118,6 +121,36 @@ def built(monkeypatch) -> list:
     return circuits
 
 
+@pytest.fixture
+def assemblies(monkeypatch) -> list:
+    """Every linear-stamp assembly, as the system assembled.  An
+    assembly stamps each device once, so its first device marks it."""
+    systems = []
+    original = MnaSystem._stamp_linear_device
+
+    def counting(self, dev, *args):
+        if dev is self.circuit.devices[0]:
+            systems.append(self)
+        original(self, dev, *args)
+
+    monkeypatch.setattr(MnaSystem, "_stamp_linear_device", counting)
+    return systems
+
+
+@pytest.fixture
+def small_signal_stamps(monkeypatch) -> list:
+    """Every small-signal stamping, as the system stamped."""
+    systems = []
+    original = MnaSystem.stamp_small_signal
+
+    def counting(self, *args, **kwargs):
+        systems.append(self)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(MnaSystem, "stamp_small_signal", counting)
+    return systems
+
+
 def _fresh(circuit: Circuit, op: OperatingPoint):
     """(G, C, b_ac) of a freshly built system at ``op``."""
     system = MnaSystem(circuit)
@@ -159,6 +192,45 @@ class TestOneSystemPerSimulation:
         (topo, *_) = generate_topologies(seed=0, sample=3)
         assert validate_topology(topo).ok
         assert len(built) == 1
+
+
+class TestOneAssemblyPerSimulation:
+    @pytest.mark.parametrize("with_noise", [False, True],
+                             ids=["dc_ac", "dc_ac_noise"])
+    def test_simulate(self, assemblies, small_signal_stamps, with_noise):
+        evaluator = SimulationEvaluator(builder=five_transistor_ota,
+                                        with_noise=with_noise)
+        performance = evaluator.simulate(OTA_SIZES)
+        assert performance["gain"] > 1.0
+        if with_noise:
+            assert performance["input_noise_density"] > 0.0
+        assert len(assemblies) == 1
+        assert len(small_signal_stamps) == 1
+
+    def test_astrx_evaluate(self, assemblies):
+        problem = AstrxProblem(_ota_builder, _ota_space(), SPECS)
+        (candidate, *_) = _c7_candidates(problem)
+        del assemblies[:]
+        performance, _ = problem.evaluate(candidate)
+        assert performance
+        assert len(assemblies) == 1
+
+    def test_validate_topology(self, assemblies):
+        (topo, *_) = generate_topologies(seed=0, sample=3)
+        assert validate_topology(topo).ok
+        assert len(assemblies) == 1
+
+    def test_stamps_are_independent_copies(self):
+        make = TESTBENCHES["miller"]
+        system = MnaSystem(make())
+        first = system.linear_stamps()
+        for array in first:
+            array += 1.0
+        second = system.linear_stamps()
+        for a, b in zip(second, MnaSystem(make()).linear_stamps()):
+            assert _bits(a) == _bits(b)
+        for a, b in zip(first, second):
+            assert not np.shares_memory(a, b)
 
 
 # ----------------------------------------------------------------------

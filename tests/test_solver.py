@@ -22,7 +22,7 @@ from repro.analysis import (
     noise_analysis,
     small_signal_system,
 )
-from repro.analysis.mna import SingularCircuitError
+from repro.analysis.mna import MnaSystem, SingularCircuitError
 from repro.analysis.solver import (
     SPARSE_SIZE_THRESHOLD,
     FactorizationCache,
@@ -30,11 +30,13 @@ from repro.analysis.solver import (
     factorize,
     solve_stack,
 )
+from repro.circuits.devices import Diode, VoltageSource
 from repro.circuits.library import (
     five_transistor_ota,
     rc_ladder,
     two_stage_miller,
 )
+from repro.circuits.netlist import Circuit
 from repro.engine.trace import Tracer
 from repro.msystem.powergrid import GridSegment, PowerGrid
 
@@ -234,16 +236,43 @@ class TestFactorizationCache:
         assert t.get("solver.factor_sparse") == 1
 
     def test_transient_newton_nonconv_counter(self):
-        from repro.analysis.transient import _newton_nonconv
-        tracer = Tracer()
-        _newton_nonconv(0.0, 1e-9)  # no active tracer: must not raise
-        with tracer.span("tran"):
-            _newton_nonconv(1e-8, 1e-9)
-        assert tracer.telemetry.get("analysis.newton_nonconv") == 1
+        """A timestep whose Newton loop runs out of iterations counts
+        ``analysis.newton_nonconv``; one that meets a singular matrix
+        does not."""
+        from repro.analysis.transient import _step
+
+        def one_step(circuit):
+            system = MnaSystem(circuit)
+            G, C, _, _ = system.linear_stamps()
+            sources = [d for d in system.circuit.devices
+                       if isinstance(d, VoltageSource)]
+            tracer = Tracer()
+            with tracer.span("tran"):
+                ok, _ = _step(system, G, C, sources, np.zeros(system.size),
+                              0.0, 1e-9, backward_euler=True)
+            return ok, tracer.telemetry
+
+        # 100 V from a flat start: the 1 V step cap needs about 100
+        # iterations, and a step has 60.
+        far = Circuit("far")
+        far.vsource("v1", "a", "0", dc=100.0)
+        far.resistor("r1", "a", "b", 1e3)
+        far.add(Diode("d1", ("b", "0")))
+        ok, telemetry = one_step(far)
+        assert not ok
+        assert telemetry.get("analysis.newton_nonconv") == 1
         # The counter is a plain telemetry counter, so it reaches the
         # manifest rollup surface like every other analysis.* counter.
-        assert "analysis.newton_nonconv" in \
-            tracer.telemetry.report()["counters"]
+        assert "analysis.newton_nonconv" in telemetry.report()["counters"]
+
+        # Two voltage sources in parallel: singular on the first solve.
+        loop = Circuit("loop")
+        loop.vsource("v1", "a", "0", dc=1.0)
+        loop.vsource("v2", "a", "0", dc=2.0)
+        loop.add(Diode("d1", ("a", "0")))
+        ok, telemetry = one_step(loop)
+        assert not ok
+        assert telemetry.get("analysis.newton_nonconv") == 0
 
     def test_engine_report_surfaces_solver_rollup(self):
         from repro.engine import EvaluationEngine, Telemetry
